@@ -250,12 +250,17 @@ san_build="$repo/build-asan"
 cmake -B "$san_build" -S "$repo" -DOSMOSIS_SANITIZE=ON
 cmake --build "$san_build" -j "$(nproc)" \
   --target failures_test faults_test arq_test fec_test ckpt_test \
-           chaos_test topo_sim_test api_test bench_chaos chaos_repro \
+           chaos_test topo_sim_test api_test voq_test switch_sim_test \
+           event_switch_test multiplane_test bench_chaos chaos_repro \
            schema_check
 
-echo "== sanitizer run: failure, fault-injection, checkpoint & api tests =="
+# The single-stage engines keep their VOQs and request FIFOs in
+# index-linked FifoPool slabs and resequence through a flat park, so
+# their tests run here too.
+echo "== sanitizer run: failure, fault, checkpoint, api & engine tests =="
 for t in failures_test faults_test arq_test fec_test ckpt_test \
-         chaos_test topo_sim_test api_test; do
+         chaos_test topo_sim_test api_test voq_test switch_sim_test \
+         event_switch_test multiplane_test; do
   echo "-- $t"
   "$san_build/tests/$t" --gtest_brief=1
 done

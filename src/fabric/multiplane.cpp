@@ -17,6 +17,11 @@ std::string mp_fault_key(const faults::FaultEvent& e) {
   return oss.str();
 }
 
+// Resequencer order: by flow source, then sequence.
+bool reseq_before(const sw::Cell& a, const sw::Cell& b) {
+  return a.src != b.src ? a.src < b.src : a.seq < b.seq;
+}
+
 }  // namespace
 
 MultiPlaneSim::MultiPlaneSim(
@@ -57,8 +62,10 @@ MultiPlaneSim::MultiPlaneSim(
   flow_seq_.assign(static_cast<std::size_t>(cfg_.ports) *
                        static_cast<std::size_t>(cfg_.ports),
                    0);
+  next_seq_.assign(static_cast<std::size_t>(cfg_.ports) *
+                       static_cast<std::size_t>(cfg_.ports),
+                   0);
   parked_.resize(static_cast<std::size_t>(cfg_.ports));
-  expected_.resize(static_cast<std::size_t>(cfg_.ports));
 
   // ---- runtime fault plan ----------------------------------------------
   plane_down_.assign(static_cast<std::size_t>(cfg_.planes), 0);
@@ -144,39 +151,48 @@ std::uint64_t MultiPlaneSim::backlog() const {
   return total;
 }
 
+void MultiPlaneSim::park(const sw::Cell& cell, std::uint64_t t) {
+  auto& park = parked_[static_cast<std::size_t>(cell.dst)];
+  const auto at = std::upper_bound(park.begin(), park.end(), cell,
+                                   [](const sw::Cell& c, const Parked& p) {
+                                     return reseq_before(c, p.cell);
+                                   });
+  park.insert(at, Parked{cell, t});
+}
+
 void MultiPlaneSim::deliver_in_order(int dst, std::uint64_t t,
                                      bool measuring) {
-  // Drain every run of consecutive sequences that has become available.
+  // One pass in (src, seq) order delivers every run of consecutive
+  // sequences that has become available: delivering (src, k) makes
+  // (src, k + 1) the next entry. Undeliverable cells stay, in order.
   auto& park = parked_[static_cast<std::size_t>(dst)];
-  auto& expect = expected_[static_cast<std::size_t>(dst)];
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (auto it = park.begin(); it != park.end();) {
-      const auto [src, seq] = it->first;
-      auto& next = expect[src];  // default 0
-      if (seq != next) {
-        ++it;
-        continue;
-      }
-      // Deliver.
-      const Parked& parked_cell = it->second;
-      post_reseq_.deliver(src, dst, seq);
-      monitor_.delivered(static_cast<std::uint64_t>(src) *
-                                    static_cast<std::uint64_t>(cfg_.ports) +
-                                static_cast<std::uint64_t>(dst),
-                            seq);
-      if (measuring) {
-        delay_hist_.add(
-            static_cast<double>(t - parked_cell.cell.arrival_slot) + 1.0);
-        reseq_wait_.add(static_cast<double>(t - parked_cell.egress_slot));
-        meter_.add_delivery();
-      }
-      ++next;
-      it = park.erase(it);
-      progress = true;
+  std::uint64_t* next_of_src =
+      &next_seq_[static_cast<std::size_t>(dst) *
+                 static_cast<std::size_t>(cfg_.ports)];
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < park.size(); ++i) {
+    const Parked& parked_cell = park[i];
+    const int src = parked_cell.cell.src;
+    const std::uint64_t seq = parked_cell.cell.seq;
+    std::uint64_t& next = next_of_src[src];
+    if (seq != next) {
+      park[kept++] = parked_cell;
+      continue;
     }
+    post_reseq_.deliver(src, dst, seq);
+    monitor_.delivered(static_cast<std::uint64_t>(src) *
+                                  static_cast<std::uint64_t>(cfg_.ports) +
+                              static_cast<std::uint64_t>(dst),
+                          seq);
+    if (measuring) {
+      delay_hist_.add(
+          static_cast<double>(t - parked_cell.cell.arrival_slot) + 1.0);
+      reseq_wait_.add(static_cast<double>(t - parked_cell.egress_slot));
+      meter_.add_delivery();
+    }
+    ++next;
   }
+  park.resize(kept);
   max_park_depth_ = std::max(max_park_depth_, static_cast<int>(park.size()));
 }
 
@@ -245,10 +261,11 @@ void MultiPlaneSim::step(std::uint64_t t, bool measuring,
       if (q.empty()) continue;
       const sw::Cell cell = q.front();
       q.pop_front();
-      auto& expect = expected_[static_cast<std::size_t>(out)];
-      if (cell.seq != expect[cell.src]) ++cross_plane_ooo_;
-      parked_[static_cast<std::size_t>(out)].emplace(
-          std::make_pair(cell.src, cell.seq), Parked{cell, t});
+      if (cell.seq != next_seq_[static_cast<std::size_t>(out) *
+                                    static_cast<std::size_t>(n) +
+                                static_cast<std::size_t>(cell.src)])
+        ++cross_plane_ooo_;
+      park(cell, t);
     }
   }
   for (int out = 0; out < n; ++out) deliver_in_order(out, t, measuring);
@@ -335,8 +352,7 @@ template <class Ar>
 void MultiPlaneSim::io_core(Ar& a) {
   ckpt::field(a, now_);
   ckpt::field(a, flow_seq_);
-  ckpt::field(a, parked_);
-  ckpt::field(a, expected_);
+  io_resequencers(a);
   ckpt::field(a, plane_down_);
   ckpt::field(a, offered_);
   ckpt::field(a, resteered_);
@@ -344,10 +360,91 @@ void MultiPlaneSim::io_core(Ar& a) {
   ckpt::field(a, faults_repaired_);
   ckpt::field(a, drained_slots_);
   if constexpr (Ar::kLoading) {
-    if (parked_.size() != static_cast<std::size_t>(cfg_.ports) ||
-        plane_down_.size() != static_cast<std::size_t>(cfg_.planes))
+    if (plane_down_.size() != static_cast<std::size_t>(cfg_.planes))
       throw ckpt::Error(
           "multi-plane core state sized for a different topology");
+  }
+}
+
+// Wire shape (that of std::map in archive.hpp): a u64 egress count, then
+// per egress a u64 count and its parked cells as (src, seq, Parked) in
+// (src, seq) order; then the egress count again, and per egress a u64
+// count and (src, next sequence) pairs in src order for every source
+// whose next sequence is above 0 or that has a cell parked there.
+template <class Ar>
+void MultiPlaneSim::io_resequencers(Ar& a) {
+  const std::size_t n = static_cast<std::size_t>(cfg_.ports);
+  if constexpr (Ar::kLoading) {
+    if (ckpt::detail::load_count(a) != n)
+      throw ckpt::Error("multi-plane resequencer count mismatch in checkpoint");
+    for (auto& park : parked_) {
+      park.clear();
+      const std::uint64_t cells = ckpt::detail::load_count(a);
+      for (std::uint64_t k = 0; k < cells; ++k) {
+        int src = 0;
+        std::uint64_t seq = 0;
+        Parked p;
+        ckpt::field(a, src);
+        ckpt::field(a, seq);
+        ckpt::field(a, p);
+        if (src < 0 || static_cast<std::size_t>(src) >= n ||
+            p.cell.src != src || p.cell.seq != seq ||
+            (!park.empty() && !reseq_before(park.back().cell, p.cell)))
+          throw ckpt::Error("multi-plane parked cell corrupt in checkpoint");
+        park.push_back(p);
+      }
+    }
+    if (ckpt::detail::load_count(a) != n)
+      throw ckpt::Error("multi-plane resequencer count mismatch in checkpoint");
+    std::fill(next_seq_.begin(), next_seq_.end(), 0);
+    for (std::size_t dst = 0; dst < n; ++dst) {
+      const std::uint64_t flows = ckpt::detail::load_count(a);
+      int last = -1;
+      for (std::uint64_t k = 0; k < flows; ++k) {
+        int src = 0;
+        std::uint64_t next = 0;
+        ckpt::field(a, src);
+        ckpt::field(a, next);
+        if (src <= last || static_cast<std::size_t>(src) >= n)
+          throw ckpt::Error("multi-plane flow sequence corrupt in checkpoint");
+        next_seq_[dst * n + static_cast<std::size_t>(src)] = next;
+        last = src;
+      }
+    }
+  } else {
+    std::uint64_t count = n;
+    a.raw(&count, sizeof count);
+    for (auto& park : parked_) {
+      std::uint64_t cells = park.size();
+      a.raw(&cells, sizeof cells);
+      for (Parked& p : park) {
+        int src = p.cell.src;
+        std::uint64_t seq = p.cell.seq;
+        ckpt::field(a, src);
+        ckpt::field(a, seq);
+        ckpt::field(a, p);
+      }
+    }
+    a.raw(&count, sizeof count);
+    std::vector<int> flows;
+    for (std::size_t dst = 0; dst < n; ++dst) {
+      const auto& park = parked_[dst];
+      auto it = park.begin();
+      flows.clear();
+      const std::uint64_t* next_of_src = &next_seq_[dst * n];
+      for (int src = 0; static_cast<std::size_t>(src) < n; ++src) {
+        while (it != park.end() && it->cell.src < src) ++it;
+        const bool has_parked = it != park.end() && it->cell.src == src;
+        if (has_parked || next_of_src[src] > 0) flows.push_back(src);
+      }
+      std::uint64_t keys = flows.size();
+      a.raw(&keys, sizeof keys);
+      for (int src : flows) {
+        std::uint64_t next = next_of_src[src];
+        ckpt::field(a, src);
+        ckpt::field(a, next);
+      }
+    }
   }
 }
 

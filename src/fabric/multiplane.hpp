@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -130,12 +129,15 @@ class MultiPlaneSim {
   };
 
   void step(std::uint64_t t, bool measuring, bool inject_traffic);
+  void park(const sw::Cell& cell, std::uint64_t t);
   void deliver_in_order(int dst, std::uint64_t t, bool measuring);
   void apply_fault_transitions(std::uint64_t t);
   int next_live_plane(int from) const;
   std::uint64_t backlog() const;
   template <class Ar>
   void io_core(Ar& a);
+  template <class Ar>
+  void io_resequencers(Ar& a);
   template <class Ar>
   void io_stats(Ar& a);
 
@@ -144,10 +146,13 @@ class MultiPlaneSim {
   std::vector<Plane> planes_;
   std::uint64_t now_ = 0;  // next slot advance_slot() will run
   std::vector<std::uint64_t> flow_seq_;      // global per (src, dst)
-  // Resequencers: per egress port, per flow (src), parked cells keyed by
-  // sequence plus the next expected sequence.
-  std::vector<std::map<std::pair<int, std::uint64_t>, Parked>> parked_;
-  std::vector<std::map<int, std::uint64_t>> expected_;  // [dst][src] -> seq
+  // Resequencers, one per egress port. next_seq_[dst * ports + src] is
+  // flow (src, dst)'s next in-order sequence (FabricSim's [dst][src]
+  // layout, flattened); parked_[dst] holds the cells waiting at egress
+  // dst, sorted by (src, seq). At most `planes` cells reach one egress
+  // per slot, so the sorted insert stays short.
+  std::vector<std::uint64_t> next_seq_;
+  std::vector<std::vector<Parked>> parked_;
 
   sim::Histogram delay_hist_{256.0};
   sim::MeanVar reseq_wait_;

@@ -59,8 +59,8 @@ EventSwitchSim::EventSwitchSim(EventSwitchConfig cfg,
   voqs_.reserve(static_cast<std::size_t>(cfg_.ports));
   for (int in = 0; in < cfg_.ports; ++in) voqs_.emplace_back(in, cfg_.ports);
   egress_.resize(static_cast<std::size_t>(cfg_.ports));
-  request_times_.resize(static_cast<std::size_t>(cfg_.ports) *
-                        static_cast<std::size_t>(cfg_.ports));
+  request_times_ = FifoPool<double>(static_cast<std::size_t>(cfg_.ports) *
+                                    static_cast<std::size_t>(cfg_.ports));
   flow_seq_.assign(static_cast<std::size_t>(cfg_.ports) *
                        static_cast<std::size_t>(cfg_.ports) * 2,
                    0);
@@ -163,10 +163,10 @@ void EventSwitchSim::fire_next() {
       break;
     case EvKind::kRequest:
       sched_->request(e.a, e.b);
-      request_times_[static_cast<std::size_t>(e.a) *
-                         static_cast<std::size_t>(cfg_.ports) +
-                     static_cast<std::size_t>(e.b)]
-          .push_back(e.d);
+      request_times_.push_back(static_cast<std::size_t>(e.a) *
+                                       static_cast<std::size_t>(cfg_.ports) +
+                                   static_cast<std::size_t>(e.b),
+                               e.d);
       break;
     case EvKind::kGrant: {
       Grant g;
@@ -179,10 +179,10 @@ void EventSwitchSim::fire_next() {
     case EvKind::kRetry:
       --retry_pending_;
       sched_->request(e.a, e.b);
-      request_times_[static_cast<std::size_t>(e.a) *
-                         static_cast<std::size_t>(cfg_.ports) +
-                     static_cast<std::size_t>(e.b)]
-          .push_back(now_ns_);
+      request_times_.push_back(static_cast<std::size_t>(e.a) *
+                                       static_cast<std::size_t>(cfg_.ports) +
+                                   static_cast<std::size_t>(e.b),
+                               now_ns_);
       break;
     case EvKind::kLanding:
       --in_flight_;
@@ -394,12 +394,12 @@ void EventSwitchSim::on_cycle() {
   {
   OSMOSIS_PROF_SCOPE("event.sched");
   for (const Grant& g : sched_->tick()) {
-    auto& times = request_times_[static_cast<std::size_t>(g.input) *
-                                     static_cast<std::size_t>(cfg_.ports) +
-                                 static_cast<std::size_t>(g.output)];
-    OSMOSIS_REQUIRE(!times.empty(), "grant without outstanding request");
-    const double requested_at = times.front();
-    times.pop_front();
+    const std::size_t voq = static_cast<std::size_t>(g.input) *
+                                static_cast<std::size_t>(cfg_.ports) +
+                            static_cast<std::size_t>(g.output);
+    OSMOSIS_REQUIRE(!request_times_.empty(voq),
+                    "grant without outstanding request");
+    const double requested_at = request_times_.pop_front(voq);
     Ev gr;
     gr.time_ns = now + ctrl_ns(g.input);
     gr.kind = EvKind::kGrant;
@@ -624,9 +624,7 @@ void EventSwitchSim::io_core(Ar& a) {
   ckpt::field(a, last_sample_cycle_);
   ckpt::field(a, last_sample_delivered_);
   if constexpr (Ar::kLoading) {
-    if (egress_.size() != static_cast<std::size_t>(cfg_.ports) ||
-        request_times_.size() != static_cast<std::size_t>(cfg_.ports) *
-                                     static_cast<std::size_t>(cfg_.ports))
+    if (egress_.size() != static_cast<std::size_t>(cfg_.ports))
       throw ckpt::Error("event-switch state sized for a different port "
                         "count");
   }

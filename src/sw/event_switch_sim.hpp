@@ -17,6 +17,7 @@
 //     quantitative reason the hardware equalizes control paths.
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -30,6 +31,7 @@
 #include "src/mgmt/health.hpp"
 #include "src/sim/stats.hpp"
 #include "src/sim/traffic.hpp"
+#include "src/sw/fifo_pool.hpp"
 #include "src/sw/scheduler.hpp"
 #include "src/sw/voq.hpp"
 #include "src/telemetry/telemetry.hpp"
@@ -209,7 +211,7 @@ class EventSwitchSim {
   std::uint64_t advance_count_ = 0;
   std::vector<VoqBank> voqs_;
   std::vector<std::deque<Cell>> egress_;
-  std::vector<std::deque<double>> request_times_;  // per (in,out) FIFO
+  FifoPool<double> request_times_;  // per (in,out) FIFO, in * ports + out
   std::vector<std::uint64_t> flow_seq_;
   // Receiver bookings per (output, cell-cycle index).
   std::map<std::pair<int, std::uint64_t>, int> slot_bookings_;

@@ -78,8 +78,9 @@ SwitchSim::SwitchSim(SwitchSimConfig cfg,
                        static_cast<std::size_t>(cfg_.ports) * 2,
                    0);
   if (cfg_.measure_grant_latency)
-    request_times_.resize(static_cast<std::size_t>(cfg_.ports) *
-                          static_cast<std::size_t>(cfg_.ports));
+    request_times_ = FifoPool<std::uint64_t>(
+        static_cast<std::size_t>(cfg_.ports) *
+        static_cast<std::size_t>(cfg_.ports));
   enqueued_per_port_.assign(static_cast<std::size_t>(cfg_.ports), 0);
   delivered_per_port_.assign(static_cast<std::size_t>(cfg_.ports), 0);
   telem_.series().set_channels({"backlog", "voq_backlog", "voq_max",
@@ -357,20 +358,20 @@ void SwitchSim::step(std::uint64_t t, bool measuring, bool inject_traffic) {
     retry_queue_.erase(retry_queue_.begin());
     sched_->request(in, out);
     if (cfg_.measure_grant_latency)
-      request_times_[static_cast<std::size_t>(in) *
-                         static_cast<std::size_t>(n) +
-                     static_cast<std::size_t>(out)]
-          .push_back(t);
+      request_times_.push_back(static_cast<std::size_t>(in) *
+                                       static_cast<std::size_t>(n) +
+                                   static_cast<std::size_t>(out),
+                               t);
   }
   while (!request_pipe_.empty() && request_pipe_.front().deliver_slot <= t) {
     const PendingRequest req = request_pipe_.front();
     request_pipe_.pop_front();
     sched_->request(req.in, req.out);
     if (cfg_.measure_grant_latency)
-      request_times_[static_cast<std::size_t>(req.in) *
-                         static_cast<std::size_t>(n) +
-                     static_cast<std::size_t>(req.out)]
-          .push_back(t);
+      request_times_.push_back(static_cast<std::size_t>(req.in) *
+                                       static_cast<std::size_t>(n) +
+                                   static_cast<std::size_t>(req.out),
+                               t);
   }
   }
 
@@ -396,12 +397,12 @@ void SwitchSim::step(std::uint64_t t, bool measuring, bool inject_traffic) {
     const bool lost_transfer =
         !lost_grant && injector_ && injector_->corrupt_transfer(g.input);
     if (cfg_.measure_grant_latency) {
-      auto& times = request_times_[static_cast<std::size_t>(g.input) *
-                                       static_cast<std::size_t>(n) +
-                                   static_cast<std::size_t>(g.output)];
-      OSMOSIS_REQUIRE(!times.empty(), "grant without outstanding request");
-      const std::uint64_t requested = times.front();
-      times.pop_front();
+      const std::size_t voq = static_cast<std::size_t>(g.input) *
+                                  static_cast<std::size_t>(n) +
+                              static_cast<std::size_t>(g.output);
+      OSMOSIS_REQUIRE(!request_times_.empty(voq),
+                      "grant without outstanding request");
+      const std::uint64_t requested = request_times_.pop_front(voq);
       if (measuring && !lost_grant)
         grant_latency_.add(static_cast<double>(t - requested) + 1.0);
     }

@@ -28,6 +28,7 @@
 #include "src/phy/crossbar_optical.hpp"
 #include "src/sim/stats.hpp"
 #include "src/sim/traffic.hpp"
+#include "src/sw/fifo_pool.hpp"
 #include "src/sw/scheduler.hpp"
 #include "src/sw/voq.hpp"
 #include "src/telemetry/telemetry.hpp"
@@ -221,8 +222,11 @@ class SwitchSim {
     }
   };
   std::deque<PendingRequest> request_pipe_;
-  // Issue times of requests, for grant-latency attribution (FIFO per VOQ).
-  std::vector<std::deque<std::uint64_t>> request_times_;
+  // Issue times of requests, for grant-latency attribution: one FIFO per
+  // VOQ (in * ports + out), none when grant latency is not measured. A
+  // lost grant pops its time and the retry appends a new one, while the
+  // cell stays at the head of its VOQ.
+  FifoPool<std::uint64_t> request_times_;
   std::optional<phy::BroadcastSelectCrossbar> optical_;
   // Failure state: per output, the physical receiver index behind each
   // logical (capacity-numbered) receiver; per input, dark flag.

@@ -9,42 +9,30 @@ namespace osmosis::sw {
 VoqBank::VoqBank(int input, int outputs)
     : input_(input),
       outputs_(outputs),
-      queues_(static_cast<std::size_t>(outputs)) {
+      cells_(static_cast<std::size_t>(std::max(outputs, 0)) * 2) {
   OSMOSIS_REQUIRE(outputs_ >= 1, "need at least one output");
 }
 
 void VoqBank::push(const Cell& cell) {
   OSMOSIS_REQUIRE(cell.dst >= 0 && cell.dst < outputs_,
                   "cell destination out of range: " << cell.dst);
-  ClassQueues& q = queues_[static_cast<std::size_t>(cell.dst)];
-  if (cell.cls == sim::TrafficClass::kControl)
-    q.control.push_back(cell);
-  else
-    q.data.push_back(cell);
-  ++total_;
-  max_depth_ = std::max(max_depth_, q.size());
+  cells_.push_back(queue_of(cell.dst, cell.cls), cell);
+  max_depth_ = std::max(max_depth_, occupancy(cell.dst));
 }
 
 Cell VoqBank::pop(int dst) {
-  OSMOSIS_REQUIRE(dst >= 0 && dst < outputs_, "dst out of range: " << dst);
-  ClassQueues& q = queues_[static_cast<std::size_t>(dst)];
-  OSMOSIS_REQUIRE(q.size() > 0, "pop on empty VOQ (" << input_ << " -> "
-                                                     << dst << ")");
-  Cell cell;
-  if (!q.control.empty()) {
-    cell = q.control.front();
-    q.control.pop_front();
-  } else {
-    cell = q.data.front();
-    q.data.pop_front();
-  }
-  --total_;
-  return cell;
+  OSMOSIS_REQUIRE(occupancy(dst) > 0, "pop on empty VOQ (" << input_ << " -> "
+                                                           << dst << ")");
+  const std::size_t control = queue_of(dst, sim::TrafficClass::kControl);
+  return cells_.pop_front(cells_.empty(control)
+                              ? queue_of(dst, sim::TrafficClass::kData)
+                              : control);
 }
 
 int VoqBank::occupancy(int dst) const {
   OSMOSIS_REQUIRE(dst >= 0 && dst < outputs_, "dst out of range: " << dst);
-  return queues_[static_cast<std::size_t>(dst)].size();
+  const std::size_t control = queue_of(dst, sim::TrafficClass::kControl);
+  return static_cast<int>(cells_.size(control) + cells_.size(control + 1));
 }
 
 }  // namespace osmosis::sw

@@ -9,10 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <deque>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/ckpt/ckpt.hpp"
@@ -352,6 +356,178 @@ TEST(CkptResume, MultiPlaneSimMidOutageRestoreIsExact) {
   EXPECT_EQ(straight.resteered, resumed.resteered);
   EXPECT_EQ(straight.cross_plane_ooo, resumed.cross_plane_ooo);
   EXPECT_TRUE(resumed.exactly_once_in_order);
+}
+
+// ---- snapshot layout --------------------------------------------------------
+//
+// The resume tests above round-trip within one build, so a change to
+// the osmosis.ckpt.v1 bytes would pass them. These pin the CRC32 of
+// whole mid-run snapshots to values recorded when the engines still
+// kept one std::deque per queue and a std::map resequencer: snapshots
+// store logical queue contents, never the engines' storage (DESIGN.md
+// §10). Each test also decodes the chunk it is about with mirror types
+// of the documented wire shape, to show the snapshot holds the state
+// it is meant to pin.
+
+template <class Sim>
+std::string snapshot_bytes(const Sim& sim) {
+  ckpt::Writer w;
+  sim.save_state(w);
+  return w.serialize();
+}
+
+// CRC32 of everything before the container's own trailing CRC (the
+// CRC of a message followed by its CRC is a constant).
+std::uint32_t body_crc(std::string_view bytes) {
+  return ckpt::crc32(bytes.substr(0, bytes.size() - 4));
+}
+
+// Wire mirrors: a VOQ bank is one (control, data) queue pair per
+// destination, then its total and max depth; a parked resequencer cell
+// is the cell and the slot it left its plane.
+struct VoqBankWire {
+  struct ClassQueues {
+    std::deque<sw::Cell> control;
+    std::deque<sw::Cell> data;
+    template <class Ar>
+    void io_state(Ar& a) {
+      ckpt::field(a, control);
+      ckpt::field(a, data);
+    }
+  };
+  std::vector<ClassQueues> queues;
+  int total = 0;
+  int max_depth = 0;
+  template <class Ar>
+  void io_state(Ar& a) {
+    ckpt::field(a, queues);
+    ckpt::field(a, total);
+    ckpt::field(a, max_depth);
+  }
+};
+
+struct ParkedWire {
+  sw::Cell cell;
+  std::uint64_t egress_slot = 0;
+  template <class Ar>
+  void io_state(Ar& a) {
+    ckpt::field(a, cell);
+    ckpt::field(a, egress_slot);
+  }
+};
+
+std::vector<VoqBankWire> decode_voq_chunk(const ckpt::Reader& r,
+                                          std::string_view name) {
+  ckpt::Source s = r.chunk(name);
+  std::vector<VoqBankWire> banks;
+  ckpt::field(s, banks);  // same shape: a u64 count, then each bank
+  s.expect_end();
+  return banks;
+}
+
+std::uint64_t queued_cells(const std::vector<VoqBankWire>& banks) {
+  std::uint64_t n = 0;
+  for (const auto& b : banks)
+    for (const auto& q : b.queues) n += q.control.size() + q.data.size();
+  return n;
+}
+
+TEST(CkptLayout, SwitchSimSnapshotBytesArePinned) {
+  // Lost grants leave their cells at the head of the VOQ while the
+  // request time is popped and a retry matures, so VOQs and request
+  // FIFOs are both non-empty and out of step at the snapshot.
+  auto cfg = small_switch_cfg(false);
+  cfg.fault_plan.corrupt_grants(300, 1'000, 0.2).seeded(0x5EED);
+  sw::SwitchSim sim(cfg, sim::make_uniform(cfg.ports, 0.8, 99));
+  for (int i = 0; i < 600; ++i) ASSERT_TRUE(sim.advance_slot());
+  const std::string bytes = snapshot_bytes(sim);
+
+  const auto r = ckpt::Reader::from_bytes(bytes);
+  ckpt::Source core = r.chunk("switch.core");
+  std::uint64_t now = 0;
+  std::uint64_t window_mark = 0;
+  double min_window_thr = 0.0;
+  std::vector<std::uint64_t> flow_seq;
+  std::deque<std::pair<std::uint64_t, std::pair<int, int>>> request_pipe;
+  std::vector<std::deque<std::uint64_t>> request_times;
+  ckpt::field(core, now);
+  ckpt::field(core, window_mark);
+  ckpt::field(core, min_window_thr);
+  ckpt::field(core, flow_seq);
+  ckpt::field(core, request_pipe);
+  ckpt::field(core, request_times);
+  EXPECT_EQ(now, 600u);
+  EXPECT_TRUE(request_pipe.empty());  // zero control-path delay
+  ASSERT_EQ(request_times.size(),
+            static_cast<std::size_t>(cfg.ports) * cfg.ports);
+  std::uint64_t pending_times = 0;
+  for (const auto& q : request_times) pending_times += q.size();
+  const std::uint64_t queued = queued_cells(decode_voq_chunk(r, "switch.voq"));
+  EXPECT_GT(pending_times, 0u);
+  EXPECT_GT(queued, pending_times);  // retries outstanding
+
+  EXPECT_EQ(body_crc(bytes), 0xCED47959u);
+}
+
+TEST(CkptLayout, EventSwitchSimSnapshotBytesArePinned) {
+  sw::EventSwitchConfig cfg;
+  cfg.ports = 16;
+  cfg.sched.kind = sw::SchedulerKind::kFlppr;
+  cfg.sched.receivers = 2;
+  cfg.default_ctrl_ns = 100.0;
+  cfg.warmup_ns = 200 * cfg.cell_ns;
+  cfg.measure_ns = 2'000 * cfg.cell_ns;
+  cfg.telemetry.enabled = true;
+  cfg.telemetry.sample_every = 4;
+  cfg.fault_plan = exec::make_fault_plan(exec::FaultScenario::kCombined,
+                                         200, 2'000);
+  cfg.fault_plan.seeded(0x5EED);
+  cfg.drain_max_cycles = 20'000;
+  sw::EventSwitchSim sim(cfg, sim::make_uniform(cfg.ports, 0.7, 7));
+  for (int i = 0; i < 5'000; ++i) ASSERT_TRUE(sim.advance());
+  const std::string bytes = snapshot_bytes(sim);
+
+  const auto r = ckpt::Reader::from_bytes(bytes);
+  EXPECT_GT(queued_cells(decode_voq_chunk(r, "event.voq")), 0u);
+
+  EXPECT_EQ(body_crc(bytes), 0x78F2F744u);
+}
+
+TEST(CkptLayout, MultiPlaneSimSnapshotBytesArePinned) {
+  // Plane 1 dies at slot 700 and its load moves onto planes 0 and 2,
+  // which still stripe every flow, so 20 slots into the outage the
+  // resequencers hold early arrivals.
+  fabric::MultiPlaneConfig cfg;
+  cfg.ports = 8;
+  cfg.planes = 3;
+  cfg.warmup_slots = 200;
+  cfg.measure_slots = 2'000;
+  cfg.fault_plan.fail_plane(700, 1, 500);
+  cfg.drain_max_slots = 20'000;
+  std::vector<std::unique_ptr<sim::TrafficGen>> gens;
+  for (int p = 0; p < cfg.planes; ++p)
+    gens.push_back(sim::make_uniform(cfg.ports, 0.7,
+                                     0x9000 + static_cast<std::uint64_t>(p)));
+  fabric::MultiPlaneSim sim(cfg, std::move(gens));
+  for (int i = 0; i < 720; ++i) ASSERT_TRUE(sim.advance_slot());
+  const std::string bytes = snapshot_bytes(sim);
+
+  const auto r = ckpt::Reader::from_bytes(bytes);
+  ckpt::Source core = r.chunk("multiplane.core");
+  std::uint64_t now = 0;
+  std::vector<std::uint64_t> flow_seq;
+  std::vector<std::map<std::pair<int, std::uint64_t>, ParkedWire>> parked;
+  std::vector<std::map<int, std::uint64_t>> expected;
+  ckpt::field(core, now);
+  ckpt::field(core, flow_seq);
+  ckpt::field(core, parked);
+  ckpt::field(core, expected);
+  ASSERT_EQ(parked.size(), static_cast<std::size_t>(cfg.ports));
+  std::size_t parked_cells = 0;
+  for (const auto& park : parked) parked_cells += park.size();
+  EXPECT_GT(parked_cells, 0u);
+
+  EXPECT_EQ(body_crc(bytes), 0x16CF04BFu);
 }
 
 TEST(CkptResume, TamperedSnapshotNeverLoadsPartially) {

@@ -1,7 +1,12 @@
 // Tests for the single-stage switch simulator: conservation, ordering,
-// dual-receiver benefit, optical-path validation, control-delay effects.
+// dual-receiver benefit, optical-path validation, control-delay effects,
+// and the memory cost of building one at the paper's 2048 ports.
 
 #include <gtest/gtest.h>
+
+#include <fstream>
+#include <sstream>
+#include <string>
 
 #include "src/sw/switch_sim.hpp"
 
@@ -107,6 +112,43 @@ TEST(SwitchSim, RejectsMismatchedTraffic) {
   SwitchSimConfig cfg = small_config(SchedulerKind::kIslip, 1);
   EXPECT_DEATH(SwitchSim(cfg, sim::make_uniform(8, 0.5, 1)),
                "traffic generator");
+}
+
+// Resident set size from /proc/self/status, in MB; -1 where the file
+// or the field is missing.
+double resident_mb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) != 0) continue;
+    std::istringstream fields(line.substr(6));
+    double kb = 0.0;
+    fields >> kb;
+    return kb / 1024.0;
+  }
+  return -1.0;
+}
+
+TEST(SwitchSim, PaperScaleConstructionStaysUnder300MB) {
+  // Table 1's 2048 ports with dual receivers, FLPPR and grant latency
+  // on: 4.2M VOQs and request-time FIFOs. ROADMAP item 2's target is
+  // hundreds of MB, not the 8 GB one container per queue took.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer shadow memory inflates the resident set";
+#endif
+  const double before = resident_mb();
+  if (before < 0.0) GTEST_SKIP() << "no /proc/self/status VmRSS";
+  SwitchSimConfig cfg;
+  cfg.ports = 2048;
+  cfg.sched.kind = SchedulerKind::kFlppr;
+  cfg.sched.receivers = 2;
+  cfg.measure_grant_latency = true;
+  SwitchSim sim(cfg, sim::make_uniform(cfg.ports, 0.6, 1));
+  const double grown = resident_mb() - before;
+  RecordProperty("construct_rss_mb", std::to_string(grown));
+  EXPECT_LT(grown, 300.0) << "constructor grew the resident set by "
+                          << grown << " MB";
+  ASSERT_TRUE(sim.advance_slot());  // and the result runs
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <vector>
 
 #include "src/sim/traffic.hpp"
@@ -26,6 +27,10 @@ struct GenFactory {
   const char* name;
   std::unique_ptr<TrafficGen> (*make)(int ports, double load);
 };
+
+// gtest puts GetParam() into the listed test names; without this it dumps
+// the raw bytes of the two pointers, which ASLR changes from run to run.
+void PrintTo(const GenFactory& f, std::ostream* os) { *os << f.name; }
 
 std::unique_ptr<TrafficGen> make_uni(int p, double l) {
   return make_uniform(p, l, 42);
