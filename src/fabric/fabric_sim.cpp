@@ -493,7 +493,7 @@ void FabricSim::step(std::uint64_t t, bool measuring, bool inject_traffic) {
         node.sched->unblock_output(p);
       }
     }
-    const std::vector<sw::Grant> grants = node.sched->tick();
+    const std::vector<sw::Grant>& grants = node.sched->tick();
     grants_per_switch_[static_cast<std::size_t>(s)] += grants.size();
     for (const sw::Grant& g : grants) {
       auto& fifo = node.voq[static_cast<std::size_t>(g.input)]

@@ -38,8 +38,7 @@ std::string FlpprScheduler::name() const {
   return oss.str();
 }
 
-std::vector<Grant> FlpprScheduler::tick() {
-  std::vector<Grant> grants;
+const std::vector<Grant>& FlpprScheduler::tick() {
   const int now_phase =
       static_cast<int>(t_ % static_cast<std::uint64_t>(depth_));
 
@@ -58,13 +57,13 @@ std::vector<Grant> FlpprScheduler::tick() {
                    /*update_pointers=*/sub.matching.iterations_run == 0);
     if (dist == 0) {
       // This sub-scheduler's window ends now: issue and start over.
-      grants = std::move(sub.matching.matches);
+      grants_.swap(sub.matching.matches);
       sub.matching.reset(ports(), output_capacity_);
     }
   }
   ++t_;
-  number_receivers(grants);
-  return grants;
+  number_receivers();
+  return grants_;
 }
 
 }  // namespace osmosis::sw

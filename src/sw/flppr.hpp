@@ -29,7 +29,7 @@ class FlpprScheduler final : public Scheduler {
                  FlpprPolicy policy = FlpprPolicy::kEarliestFirst);
 
   std::string name() const override;
-  std::vector<Grant> tick() override;
+  const std::vector<Grant>& tick() override;
 
   int depth() const { return depth_; }
 

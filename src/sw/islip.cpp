@@ -107,6 +107,7 @@ void IslipIteration::Matching::reset(int ports, int receivers) {
   input_free.set_all();
   capacity.assign(static_cast<std::size_t>(ports), receivers);
   matches.clear();
+  matches.reserve(static_cast<std::size_t>(ports));
   iterations_run = 0;
 }
 
@@ -118,6 +119,7 @@ void IslipIteration::Matching::reset(int ports,
   input_free.set_all();
   capacity = capacities;
   matches.clear();
+  matches.reserve(static_cast<std::size_t>(ports));
   iterations_run = 0;
 }
 
@@ -125,8 +127,10 @@ IslipIteration::IslipIteration(int ports)
     : ports_(ports),
       grant_ptr_(static_cast<std::size_t>(ports), 0),
       accept_ptr_(static_cast<std::size_t>(ports), 0),
-      grants_to_input_(static_cast<std::size_t>(ports)) {
+      cands_(ports),
+      best_offer_(static_cast<std::size_t>(ports), -1) {
   OSMOSIS_REQUIRE(ports_ >= 1, "need at least one port");
+  granted_inputs_.reserve(static_cast<std::size_t>(ports));
 }
 
 void IslipIteration::run(DemandState& primary, DemandState* shared,
@@ -135,41 +139,37 @@ void IslipIteration::run(DemandState& primary, DemandState* shared,
 
   // Grant phase: each output with remaining receiver capacity offers up
   // to `capacity` grants, scanning inputs round-robin from its pointer.
+  // An input keeps only its best offer so far: the one closest (in
+  // round-robin order) to its accept pointer, which is the offer the
+  // accept phase takes. Distinct outputs never tie on that distance.
   for (int out = 0; out < ports_; ++out) {
     int cap = m.capacity[static_cast<std::size_t>(out)];
     if (cap <= 0) continue;
-    PortSet cands = primary.candidates(out);
-    if (shared != nullptr) cands &= shared->candidates(out);
-    cands &= m.input_free;
+    cands_ = primary.candidates(out);
+    if (shared != nullptr) cands_ &= shared->candidates(out);
+    cands_ &= m.input_free;
     int from = grant_ptr_[static_cast<std::size_t>(out)];
     while (cap > 0) {
-      const int in = cands.next_circular(from);
+      const int in = cands_.next_circular(from);
       if (in < 0) break;
-      auto& list = grants_to_input_[static_cast<std::size_t>(in)];
-      if (list.empty()) granted_inputs_.push_back(in);
-      list.push_back(out);
-      cands.clear(in);  // one grant per (output, input) pair per round
+      int& best = best_offer_[static_cast<std::size_t>(in)];
+      if (best < 0) {
+        granted_inputs_.push_back(in);
+        best = out;
+      } else if (accept_distance(in, out) < accept_distance(in, best)) {
+        best = out;
+      }
+      cands_.clear(in);  // one grant per (output, input) pair per round
       --cap;
       from = (in + 1) % ports_;
     }
   }
 
-  // Accept phase: each granted input accepts the offer closest (in
-  // round-robin order) to its accept pointer.
+  // Accept phase: each granted input accepts its best offer, in
+  // first-offer order.
   for (const int in : granted_inputs_) {
-    auto& offers = grants_to_input_[static_cast<std::size_t>(in)];
-    int best = -1;
-    int best_dist = ports_ + 1;
-    const int ap = accept_ptr_[static_cast<std::size_t>(in)];
-    for (const int out : offers) {
-      const int dist = (out - ap + ports_) % ports_;
-      if (dist < best_dist) {
-        best_dist = dist;
-        best = out;
-      }
-    }
-    offers.clear();
-    if (best < 0) continue;
+    const int best = best_offer_[static_cast<std::size_t>(in)];
+    best_offer_[static_cast<std::size_t>(in)] = -1;
 
     // Commit the match.
     m.input_free.clear(in);
@@ -191,8 +191,10 @@ void IslipIteration::run(DemandState& primary, DemandState* shared,
 Scheduler::Scheduler(int ports, int receivers)
     : demand_(ports),
       receivers_(receivers),
-      output_capacity_(static_cast<std::size_t>(ports), receivers) {
+      output_capacity_(static_cast<std::size_t>(ports), receivers),
+      receiver_used_(static_cast<std::size_t>(ports), 0) {
   OSMOSIS_REQUIRE(receivers_ >= 1, "need at least one receiver per output");
+  grants_.reserve(static_cast<std::size_t>(ports));
 }
 
 void Scheduler::set_output_capacity(int out, int capacity) {
@@ -214,10 +216,10 @@ int Scheduler::output_capacity(int out) const {
   return output_capacity_[static_cast<std::size_t>(out)];
 }
 
-void Scheduler::number_receivers(std::vector<Grant>& grants) const {
-  std::vector<int> used(static_cast<std::size_t>(ports()), 0);
-  for (auto& g : grants) {
-    g.receiver = used[static_cast<std::size_t>(g.output)]++;
+void Scheduler::number_receivers() {
+  std::fill(receiver_used_.begin(), receiver_used_.end(), 0);
+  for (auto& g : grants_) {
+    g.receiver = receiver_used_[static_cast<std::size_t>(g.output)]++;
     OSMOSIS_REQUIRE(g.receiver < receivers_,
                     "output " << g.output << " over-matched: receiver "
                               << g.receiver << " of " << receivers_);
@@ -244,6 +246,7 @@ IslipScheduler::IslipScheduler(int ports, int receivers, int iterations)
                                                         ports))),
       engine_(ports) {
   if (iterations_ < 1) iterations_ = 1;  // 1-port switch edge case
+  matching_.reset(ports, receivers);
 }
 
 std::string IslipScheduler::name() const {
@@ -252,14 +255,13 @@ std::string IslipScheduler::name() const {
   return oss.str();
 }
 
-std::vector<Grant> IslipScheduler::tick() {
+const std::vector<Grant>& IslipScheduler::tick() {
   matching_.reset(ports(), output_capacity_);
   for (int it = 0; it < iterations_; ++it)
     engine_.run(demand_, nullptr, matching_, /*update_pointers=*/it == 0);
-  std::vector<Grant> grants = std::move(matching_.matches);
-  matching_.matches.clear();
-  number_receivers(grants);
-  return grants;
+  grants_.swap(matching_.matches);
+  number_receivers();
+  return grants_;
 }
 
 }  // namespace osmosis::sw

@@ -17,7 +17,7 @@ class IslipScheduler final : public Scheduler {
 
   std::string name() const override;
 
-  std::vector<Grant> tick() override;
+  const std::vector<Grant>& tick() override;
 
   int iterations() const { return iterations_; }
 

@@ -14,8 +14,15 @@ PimScheduler::PimScheduler(int ports, int receivers, int iterations,
                       ? iterations
                       : util::ceil_log2(static_cast<std::uint64_t>(ports))),
       rng_(rng),
+      cands_(ports),
       grants_to_input_(static_cast<std::size_t>(ports)) {
   if (iterations_ < 1) iterations_ = 1;
+  matching_.reset(ports, receivers);
+  cand_list_.reserve(static_cast<std::size_t>(ports));
+  // An input gets at most one offer per output per iteration.
+  for (auto& offers : grants_to_input_)
+    offers.reserve(static_cast<std::size_t>(ports));
+  granted_inputs_.reserve(static_cast<std::size_t>(ports));
 }
 
 std::string PimScheduler::name() const {
@@ -33,17 +40,17 @@ void PimScheduler::run_iteration(IslipIteration::Matching& m) {
   for (int out = 0; out < n; ++out) {
     int cap = m.capacity[static_cast<std::size_t>(out)];
     if (cap <= 0) continue;
-    PortSet cands = demand_.candidates(out);
-    cands &= m.input_free;
+    cands_ = demand_.candidates(out);
+    cands_ &= m.input_free;
     // Collect candidate indices (PIM is a reference implementation; the
     // O(N) scan is acceptable here).
-    std::vector<int> list;
+    cand_list_.clear();
     for (int in = 0; in < n; ++in)
-      if (cands.test(in)) list.push_back(in);
-    rng_.shuffle(list);
-    const int take = std::min<int>(cap, static_cast<int>(list.size()));
+      if (cands_.test(in)) cand_list_.push_back(in);
+    rng_.shuffle(cand_list_);
+    const int take = std::min<int>(cap, static_cast<int>(cand_list_.size()));
     for (int k = 0; k < take; ++k) {
-      const int in = list[static_cast<std::size_t>(k)];
+      const int in = cand_list_[static_cast<std::size_t>(k)];
       auto& offers = grants_to_input_[static_cast<std::size_t>(in)];
       if (offers.empty()) granted_inputs_.push_back(in);
       offers.push_back(out);
@@ -65,13 +72,12 @@ void PimScheduler::run_iteration(IslipIteration::Matching& m) {
   ++m.iterations_run;
 }
 
-std::vector<Grant> PimScheduler::tick() {
+const std::vector<Grant>& PimScheduler::tick() {
   matching_.reset(ports(), output_capacity_);
   for (int it = 0; it < iterations_; ++it) run_iteration(matching_);
-  std::vector<Grant> grants = std::move(matching_.matches);
-  matching_.matches.clear();
-  number_receivers(grants);
-  return grants;
+  grants_.swap(matching_.matches);
+  number_receivers();
+  return grants_;
 }
 
 }  // namespace osmosis::sw

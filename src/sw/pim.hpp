@@ -15,7 +15,7 @@ class PimScheduler final : public Scheduler {
   PimScheduler(int ports, int receivers, int iterations, sim::Rng rng);
 
   std::string name() const override;
-  std::vector<Grant> tick() override;
+  const std::vector<Grant>& tick() override;
 
   int iterations() const { return iterations_; }
 
@@ -34,8 +34,11 @@ class PimScheduler final : public Scheduler {
   int iterations_;
   sim::Rng rng_;
   IslipIteration::Matching matching_;
-  std::vector<std::vector<int>> grants_to_input_;  // scratch
-  std::vector<int> granted_inputs_;                // scratch
+  // scratch, sized at construction
+  PortSet cands_;                                  // one output's inputs
+  std::vector<int> cand_list_;                     // the same, as indices
+  std::vector<std::vector<int>> grants_to_input_;  // offers per input
+  std::vector<int> granted_inputs_;                // first-offer order
 };
 
 }  // namespace osmosis::sw

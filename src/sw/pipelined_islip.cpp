@@ -37,8 +37,8 @@ std::string PipelinedIslipScheduler::name() const {
   return oss.str();
 }
 
-std::vector<Grant> PipelinedIslipScheduler::tick() {
-  std::vector<Grant> grants;
+const std::vector<Grant>& PipelinedIslipScheduler::tick() {
+  grants_.clear();
   const int start_phase = static_cast<int>(t_ % static_cast<std::uint64_t>(depth_));
 
   for (auto& sub : subs_) {
@@ -56,14 +56,14 @@ std::vector<Grant> PipelinedIslipScheduler::tick() {
                    /*update_pointers=*/sub.matching.iterations_run == 0);
     // After its depth-th iteration the matching is complete: issue.
     if (sub.matching.iterations_run == depth_) {
-      grants.insert(grants.end(), sub.matching.matches.begin(),
-                    sub.matching.matches.end());
+      grants_.insert(grants_.end(), sub.matching.matches.begin(),
+                     sub.matching.matches.end());
       sub.matching.matches.clear();
     }
   }
   ++t_;
-  number_receivers(grants);
-  return grants;
+  number_receivers();
+  return grants_;
 }
 
 }  // namespace osmosis::sw

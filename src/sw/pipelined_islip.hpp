@@ -24,7 +24,7 @@ class PipelinedIslipScheduler final : public Scheduler {
   PipelinedIslipScheduler(int ports, int receivers, int depth);
 
   std::string name() const override;
-  std::vector<Grant> tick() override;
+  const std::vector<Grant>& tick() override;
 
   int depth() const { return depth_; }
 

@@ -127,8 +127,8 @@ class IslipIteration {
   void run(DemandState& primary, DemandState* shared, Matching& m,
            bool update_pointers);
 
-  /// Only the round-robin pointers are state; the grant/accept scratch
-  /// vectors are cleared at the top of every run().
+  /// Only the round-robin pointers are state; the scratch below is
+  /// sized at construction and left empty by every run().
   template <class Ar>
   void io_state(Ar& a) {
     ckpt::field(a, grant_ptr_);
@@ -136,12 +136,19 @@ class IslipIteration {
   }
 
  private:
+  /// Round-robin distance from input `in`'s accept pointer to `out`.
+  int accept_distance(int in, int out) const {
+    return (out - accept_ptr_[static_cast<std::size_t>(in)] + ports_) %
+           ports_;
+  }
+
   int ports_;
   std::vector<int> grant_ptr_;   // per output
   std::vector<int> accept_ptr_;  // per input
   // scratch, reused across calls
-  std::vector<std::vector<int>> grants_to_input_;
-  std::vector<int> granted_inputs_;
+  PortSet cands_;                    // one output's grantable inputs
+  std::vector<int> best_offer_;      // per input: best output so far; -1
+  std::vector<int> granted_inputs_;  // inputs in first-offer order
 };
 
 /// Abstract central scheduler.
@@ -186,7 +193,10 @@ class Scheduler {
   /// Postconditions (checked by tests): each input appears at most once;
   /// each (output, receiver) appears at most once; every grant had
   /// residual demand when matched.
-  virtual std::vector<Grant> tick() = 0;
+  /// The result lives in a buffer the scheduler owns: the reference stays
+  /// valid until the next tick() or load_state(). A tick allocates no
+  /// heap memory; every buffer it touches is sized at construction.
+  virtual const std::vector<Grant>& tick() = 0;
 
   /// Checkpoint hooks: persist every bit of mutable scheduler state
   /// (residual demand, arbiter pointers, in-flight pipeline matchings,
@@ -198,8 +208,8 @@ class Scheduler {
   virtual void load_state(ckpt::Source& s);
 
  protected:
-  /// Assigns distinct receiver indices per output within one grant set.
-  void number_receivers(std::vector<Grant>& grants) const;
+  /// Assigns distinct receiver indices per output within grants_.
+  void number_receivers();
 
   /// Pipelined schedulers keep in-flight partial matchings whose
   /// capacity arrays must shrink immediately when an output degrades;
@@ -210,6 +220,10 @@ class Scheduler {
   DemandState demand_;
   int receivers_;
   std::vector<int> output_capacity_;  // usable receivers per output
+  std::vector<Grant> grants_;         // tick() result, reserved to ports
+
+ private:
+  std::vector<int> receiver_used_;  // number_receivers() scratch
 };
 
 /// Scheduler families compared in the paper.

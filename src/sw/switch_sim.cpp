@@ -376,17 +376,17 @@ void SwitchSim::step(std::uint64_t t, bool measuring, bool inject_traffic) {
   }
 
   // 3. The central scheduler arbitrates this cell cycle.
-  std::vector<Grant> grants;
+  const std::vector<Grant>* grants = nullptr;
   {
     OSMOSIS_PROF_SCOPE("switch.sched");
-    grants = sched_->tick();
+    grants = &sched_->tick();
   }
 
   // 4. Crossbar transfer: granted cells move VOQ -> egress queue.
   {
   OSMOSIS_PROF_SCOPE("switch.xbar");
   if (optical_) optical_->release_all();
-  for (const Grant& g : grants) {
+  for (const Grant& g : *grants) {
     // A grant can be lost on the control path (corrupted grant message:
     // the adapter never transmits) or its cell corrupted on the data
     // path (FEC-uncorrectable at the receiver: the egress discards it).

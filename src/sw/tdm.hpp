@@ -14,7 +14,7 @@ class TdmScheduler final : public Scheduler {
   TdmScheduler(int ports, int receivers);
 
   std::string name() const override { return "TDM"; }
-  std::vector<Grant> tick() override;
+  const std::vector<Grant>& tick() override;
 
   void save_state(ckpt::Sink& s) const override {
     Scheduler::save_state(s);

@@ -3,14 +3,15 @@
 namespace osmosis::sw {
 
 WfaScheduler::WfaScheduler(int ports, int receivers)
-    : Scheduler(ports, receivers) {}
+    : Scheduler(ports, receivers),
+      capacity_(static_cast<std::size_t>(ports), 0),
+      input_free_(ports) {}
 
-std::vector<Grant> WfaScheduler::tick() {
+const std::vector<Grant>& WfaScheduler::tick() {
   const int n = ports();
-  std::vector<Grant> grants;
-  std::vector<int> capacity(output_capacity_.begin(), output_capacity_.end());
-  PortSet input_free(n);
-  input_free.set_all();
+  grants_.clear();
+  capacity_ = output_capacity_;
+  input_free_.set_all();
 
   // Sweep diagonals d, d+1, ... (mod N), rotating the privileged
   // diagonal every cycle so no (input, output) pair is structurally
@@ -19,19 +20,19 @@ std::vector<Grant> WfaScheduler::tick() {
   for (int k = 0; k < n; ++k) {
     const int d = (start + k) % n;
     for (int in = 0; in < n; ++in) {
-      if (!input_free.test(in)) continue;
+      if (!input_free_.test(in)) continue;
       const int out = (in + d) % n;
-      if (capacity[static_cast<std::size_t>(out)] <= 0) continue;
+      if (capacity_[static_cast<std::size_t>(out)] <= 0) continue;
       if (!demand_.candidates(out).test(in)) continue;
-      input_free.clear(in);
-      --capacity[static_cast<std::size_t>(out)];
+      input_free_.clear(in);
+      --capacity_[static_cast<std::size_t>(out)];
       demand_.reserve(in, out);
-      grants.push_back(Grant{in, out, 0});
+      grants_.push_back(Grant{in, out, 0});
     }
   }
   ++t_;
-  number_receivers(grants);
-  return grants;
+  number_receivers();
+  return grants_;
 }
 
 }  // namespace osmosis::sw

@@ -16,7 +16,7 @@ class WfaScheduler final : public Scheduler {
   WfaScheduler(int ports, int receivers);
 
   std::string name() const override { return "WFA"; }
-  std::vector<Grant> tick() override;
+  const std::vector<Grant>& tick() override;
 
   void save_state(ckpt::Sink& s) const override {
     Scheduler::save_state(s);
@@ -29,6 +29,9 @@ class WfaScheduler final : public Scheduler {
 
  private:
   std::uint64_t t_ = 0;
+  // tick() scratch, sized at construction
+  std::vector<int> capacity_;  // accepts left per output
+  PortSet input_free_;         // inputs not yet matched
 };
 
 }  // namespace osmosis::sw

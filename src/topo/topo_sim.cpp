@@ -4,6 +4,7 @@
 #include <climits>
 #include <sstream>
 
+#include "src/prof/profiler.hpp"
 #include "src/telemetry/run_report.hpp"
 #include "src/util/log.hpp"
 
@@ -47,11 +48,14 @@ TopoSim::TopoSim(TopoSimConfig cfg, std::unique_ptr<sim::TrafficGen> traffic)
 
   nodes_.reserve(topo_.switches.size());
   std::uint64_t fc_inputs = 0;
+  int max_in_lanes = 0, max_out = 0;
   for (std::size_t id = 0; id < topo_.switches.size(); ++id) {
     const SwitchSpec& spec = topo_.switches[id];
     const int in_p = spec.in_ports();
     const int out_p = spec.out_ports();
     fc_inputs += static_cast<std::uint64_t>(in_p);
+    max_in_lanes = std::max(max_in_lanes, in_p * lanes);
+    max_out = std::max(max_out, out_p);
     Node n;
     if (wormhole()) {
       n.lane_buf.resize(static_cast<std::size_t>(in_p * lanes));
@@ -84,6 +88,9 @@ TopoSim::TopoSim(TopoSimConfig cfg, std::unique_ptr<sim::TrafficGen> traffic)
     n.out_data.resize(static_cast<std::size_t>(out_p));
     nodes_.push_back(std::move(n));
   }
+  if (wormhole())
+    lane_want_.assign(static_cast<std::size_t>(max_out),
+                      sw::PortSet(max_in_lanes));
   pool_total_ =
       wormhole()
           ? fc_inputs * static_cast<std::uint64_t>(lanes) *
@@ -108,7 +115,7 @@ TopoSim::TopoSim(TopoSimConfig cfg, std::unique_ptr<sim::TrafficGen> traffic)
   // one switch never overlap.
   down_.assign(topo_.switches.size(), 0);
   host_stalled_.assign(hosts, 0);
-  const std::vector<int> targets = topo_.stage_switches(top_stage_);
+  fault_targets_ = topo_.stage_switches(top_stage_);
   const auto& events = cfg_.fault_plan.events();
   for (std::size_t i = 0; i < events.size(); ++i) {
     const faults::FaultEvent& e = events[i];
@@ -122,10 +129,10 @@ TopoSim::TopoSim(TopoSimConfig cfg, std::unique_ptr<sim::TrafficGen> traffic)
                       "a permanent mid-run switch fault would strand "
                       "cells; use construction-time failed_switches");
       OSMOSIS_REQUIRE(
-          e.a >= 0 && e.a < static_cast<int>(targets.size()),
+          e.a >= 0 && e.a < static_cast<int>(fault_targets_.size()),
           "plane fault index " << e.a << " out of range (stage "
-                               << top_stage_ << " has " << targets.size()
-                               << " switches)");
+                               << top_stage_ << " has "
+                               << fault_targets_.size() << " switches)");
     } else {
       OSMOSIS_REQUIRE(e.a >= 0 && e.a < topo_.hosts,
                       "adapter stall host " << e.a << " out of range");
@@ -144,15 +151,14 @@ TopoSim::TopoSim(TopoSimConfig cfg, std::unique_ptr<sim::TrafficGen> traffic)
 }
 
 void TopoSim::apply_fault_transitions(std::uint64_t t) {
-  const std::vector<int> targets = topo_.stage_switches(top_stage_);
   while (next_transition_ < transitions_.size() &&
          transitions_[next_transition_].slot <= t) {
     const Transition& tr = transitions_[next_transition_++];
     const faults::FaultEvent& e =
         cfg_.fault_plan.events()[static_cast<std::size_t>(tr.event)];
     if (e.kind == faults::FaultKind::kPlaneFailure) {
-      const std::size_t sw =
-          static_cast<std::size_t>(targets[static_cast<std::size_t>(e.a)]);
+      const std::size_t sw = static_cast<std::size_t>(
+          fault_targets_[static_cast<std::size_t>(e.a)]);
       down_[sw] = tr.begin;
     } else {
       host_stalled_[static_cast<std::size_t>(e.a)] = tr.begin;
@@ -282,34 +288,50 @@ void TopoSim::transfer_flits(Node& node, int sw, std::uint64_t t,
   const int out_p = spec.out_ports();
   const int in_lanes = in_p * lanes;
   used_input_.assign(static_cast<std::size_t>(in_p), 0);
+
+  // File every occupied input lane under the one output its front flit
+  // wants: the bound output mid-worm, the routed one for a head flit.
+  // Only a lane that sends changes state this slot, and its input is then
+  // used for the rest of the slot, so the filing never goes stale.
+  for (int p = 0; p < out_p; ++p)
+    lane_want_[static_cast<std::size_t>(p)].clear_all();
+  for (int idx = 0; idx < in_lanes; ++idx) {
+    const auto& buf = node.lane_buf[static_cast<std::size_t>(idx)];
+    if (buf.empty()) continue;
+    int want = node.lane_out[static_cast<std::size_t>(idx)];
+    if (want == -1) {
+      OSMOSIS_REQUIRE(buf.front().head != 0,
+                      "wormhole body flit without an open route");
+      want = topo_.route_port(sw, buf.front().dst);
+    }
+    if (want >= 0) lane_want_[static_cast<std::size_t>(want)].set(idx);
+  }
+
   for (int p = 0; p < out_p; ++p) {
     const Peer& peer = spec.out_peer[static_cast<std::size_t>(p)];
     if (peer.kind == PeerKind::kSwitch &&
         down_[static_cast<std::size_t>(peer.id)] != 0)
       continue;  // frozen downstream: hold the worm, credits keep it safe
+    // Round-robin from the cursor over the lanes that want p; a visited
+    // lane leaves the mask, so the walk ends after one lap.
+    sw::PortSet& want = lane_want_[static_cast<std::size_t>(p)];
     int& rr = node.out_rr[static_cast<std::size_t>(p)];
-    for (int k = 0; k < in_lanes; ++k) {
-      const int idx = (rr + k) % in_lanes;
+    for (int idx = want.next_circular(rr); idx >= 0;
+         idx = want.next_circular(idx)) {
+      want.clear(idx);
       const int in = idx / lanes;
       if (used_input_[static_cast<std::size_t>(in)]) continue;
       auto& buf = node.lane_buf[static_cast<std::size_t>(idx)];
-      if (buf.empty()) continue;
       const Flit f = buf.front();
-      const int dlane = lane_of(f.dst);
       const std::size_t vc =
-          static_cast<std::size_t>(p * lanes + dlane);
-      if (node.lane_out[static_cast<std::size_t>(idx)] == -1) {
-        // Head flit: route and try to allocate the downstream lane.
-        OSMOSIS_REQUIRE(f.head != 0,
-                        "wormhole body flit without an open route");
-        if (topo_.route_port(sw, f.dst) != p) continue;
-        if (peer.kind == PeerKind::kSwitch &&
-            (node.lane_owner[vc] != -1 || node.lane_credits[vc] == 0))
+          static_cast<std::size_t>(p * lanes + lane_of(f.dst));
+      if (peer.kind == PeerKind::kSwitch) {
+        // A head flit needs the downstream lane free; every flit needs a
+        // credit.
+        if (node.lane_out[static_cast<std::size_t>(idx)] == -1 &&
+            node.lane_owner[vc] != -1)
           continue;
-      } else {
-        if (node.lane_out[static_cast<std::size_t>(idx)] != p) continue;
-        if (peer.kind == PeerKind::kSwitch && node.lane_credits[vc] == 0)
-          continue;
+        if (node.lane_credits[vc] == 0) continue;
       }
       buf.pop_front();
       used_input_[static_cast<std::size_t>(in)] = 1;
@@ -340,6 +362,7 @@ void TopoSim::step(std::uint64_t t, bool measuring, bool inject) {
 
   // 1. Hosts generate traffic (packets; wormhole expands into flits).
   if (inject) {
+    OSMOSIS_PROF_SCOPE("topo.ingest");
     const int F = wormhole() ? cfg_.fc.flits_per_packet : 1;
     for (int h = 0; h < topo_.hosts; ++h) {
       sim::Arrival a;
@@ -364,6 +387,8 @@ void TopoSim::step(std::uint64_t t, bool measuring, bool inject) {
   }
 
   // 2. Credits come home.
+  {
+  OSMOSIS_PROF_SCOPE("topo.credits");
   if (wormhole()) {
     const int lanes = cfg_.fc.lanes;
     for (int h = 0; h < topo_.hosts; ++h) {
@@ -403,8 +428,11 @@ void TopoSim::step(std::uint64_t t, bool measuring, bool inject) {
       }
     }
   }
+  }
 
   // 3a. Host-to-ingress cable arrivals.
+  {
+  OSMOSIS_PROF_SCOPE("topo.cables");
   for (int h = 0; h < topo_.hosts; ++h) {
     auto& q = host_out_[static_cast<std::size_t>(h)];
     while (!q.empty() && q.front().slot <= t) {
@@ -433,8 +461,11 @@ void TopoSim::step(std::uint64_t t, bool measuring, bool inject) {
       }
     }
   }
+  }
 
   // 4. Host injection, gated by ingress buffer credits.
+  {
+  OSMOSIS_PROF_SCOPE("topo.inject");
   for (int h = 0; h < topo_.hosts; ++h) {
     if (host_stalled_[static_cast<std::size_t>(h)]) continue;
     auto& q = host_queue_[static_cast<std::size_t>(h)];
@@ -457,9 +488,12 @@ void TopoSim::step(std::uint64_t t, bool measuring, bool inject) {
               f});
     q.pop_front();
   }
+  }
 
   // 5. Per-switch transfer: central-scheduler grants (cell kinds) or
   // round-robin flit arbitration (wormhole).
+  {
+  OSMOSIS_PROF_SCOPE("topo.sched");
   for (std::size_t s = 0; s < nodes_.size(); ++s) {
     if (topo_.dead(static_cast<int>(s))) continue;
     if (down_[s]) continue;  // frozen: holds every resident cell/flit
@@ -468,11 +502,13 @@ void TopoSim::step(std::uint64_t t, bool measuring, bool inject) {
     else
       transfer_cells(nodes_[s], static_cast<int>(s), t, measuring);
   }
+  }
 
   check_invariants(t);
 }
 
 void TopoSim::check_invariants(std::uint64_t t) {
+  OSMOSIS_PROF_SCOPE("topo.invariants");
   monitor_.check_generated(t, injected_total_);
 
   std::uint64_t ledger = 0;

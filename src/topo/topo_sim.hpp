@@ -34,6 +34,7 @@
 #include "src/faults/fault_plan.hpp"
 #include "src/sim/stats.hpp"
 #include "src/sim/traffic.hpp"
+#include "src/sw/portset.hpp"
 #include "src/sw/scheduler.hpp"
 #include "src/topo/flow_control.hpp"
 #include "src/topo/topology.hpp"
@@ -254,6 +255,7 @@ class TopoSim {
   };
   std::vector<Transition> transitions_;
   std::size_t next_transition_ = 0;
+  std::vector<int> fault_targets_;          // the fault stage's switches
   std::vector<std::uint8_t> down_;          // per switch (mid-run freeze)
   std::vector<std::uint8_t> host_stalled_;  // per host adapter
   int open_faults_ = 0;
@@ -277,6 +279,9 @@ class TopoSim {
 
   // Per-slot scratch (reset every step; never checkpointed).
   std::vector<std::uint8_t> used_input_;
+  // Wormhole, per out port of the switch being arbitrated: the input
+  // lanes whose front flit wants that port (rebuilt per switch per slot).
+  std::vector<sw::PortSet> lane_want_;
   int cur_slot_max_occ_ = 0;
 };
 

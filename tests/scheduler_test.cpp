@@ -6,8 +6,11 @@
 
 #include <map>
 #include <memory>
+#include <ostream>
 #include <set>
+#include <string>
 
+#include "src/ckpt/ckpt.hpp"
 #include "src/sim/rng.hpp"
 #include "src/sw/scheduler.hpp"
 
@@ -18,7 +21,14 @@ struct KindParam {
   SchedulerKind kind;
   const char* name;
   int receivers;
+  int ports = 16;
 };
+
+// gtest puts GetParam() into the listed test names; without this it dumps
+// the struct's raw bytes (a pointer and padding), which vary per build.
+void PrintTo(const KindParam& p, std::ostream* os) {
+  *os << p.name << ", ports=" << p.ports;
+}
 
 class MatchingValidityTest : public ::testing::TestWithParam<KindParam> {};
 
@@ -29,7 +39,7 @@ TEST_P(MatchingValidityTest, GrantsFormValidMatching) {
   const auto param = GetParam();
   SchedulerConfig cfg;
   cfg.kind = param.kind;
-  cfg.ports = 16;
+  cfg.ports = param.ports;
   cfg.receivers = param.receivers;
   cfg.seed = 99;
   auto sched = make_scheduler(cfg);
@@ -39,7 +49,8 @@ TEST_P(MatchingValidityTest, GrantsFormValidMatching) {
   for (int t = 0; t < 2'000; ++t) {
     for (int in = 0; in < cfg.ports; ++in) {
       if (rng.bernoulli(0.4)) {
-        const int out = static_cast<int>(rng.uniform_int(16));
+        const int out = static_cast<int>(
+            rng.uniform_int(static_cast<std::uint64_t>(cfg.ports)));
         sched->request(in, out);
         ++owed[{in, out}];
       }
@@ -76,6 +87,130 @@ INSTANTIATE_TEST_SUITE_P(
                       KindParam{SchedulerKind::kWfa, "wfa", 1},
                       KindParam{SchedulerKind::kWfa, "wfa_dual", 2}),
     [](const auto& info) { return std::string(info.param.name); });
+
+// 130 ports: three-word PortSets, so the multi-word scans and masks run.
+INSTANTIATE_TEST_SUITE_P(
+    MultiWord, MatchingValidityTest,
+    ::testing::Values(KindParam{SchedulerKind::kIslip, "islip", 1, 130},
+                      KindParam{SchedulerKind::kIslip, "islip_dual", 2, 130},
+                      KindParam{SchedulerKind::kPim, "pim", 1, 130},
+                      KindParam{SchedulerKind::kPipelinedIslip, "pipe", 1,
+                                130},
+                      KindParam{SchedulerKind::kPipelinedIslip, "pipe_dual",
+                                2, 130},
+                      KindParam{SchedulerKind::kFlppr, "flppr", 1, 130},
+                      KindParam{SchedulerKind::kFlppr, "flppr_dual", 2, 130},
+                      KindParam{SchedulerKind::kTdm, "tdm", 1, 130},
+                      KindParam{SchedulerKind::kWfa, "wfa", 1, 130},
+                      KindParam{SchedulerKind::kWfa, "wfa_dual", 2, 130}),
+    [](const auto& info) { return std::string(info.param.name); });
+
+/// CRC32 of every grant a scheduler issues over 2,000 ticks of seeded
+/// random demand, with periodic output blocking, capacity degradation
+/// and input masking. Each tick appends its grant count and then each
+/// grant's (input, output, receiver) as 16-bit little-endian values.
+std::uint32_t grant_sequence_crc(SchedulerKind kind, int receivers,
+                                 int ports) {
+  SchedulerConfig cfg;
+  cfg.kind = kind;
+  cfg.ports = ports;
+  cfg.receivers = receivers;
+  cfg.seed = 0x51A7;
+  auto sched = make_scheduler(cfg);
+  sim::Rng rng(0xC0FFEE + static_cast<std::uint64_t>(ports) * 3 +
+               static_cast<std::uint64_t>(receivers));
+  const auto port = [&] {
+    return static_cast<int>(
+        rng.uniform_int(static_cast<std::uint64_t>(ports)));
+  };
+  std::string bytes;
+  const auto put = [&bytes](int v) {
+    bytes.push_back(static_cast<char>(v & 0xFF));
+    bytes.push_back(static_cast<char>((v >> 8) & 0xFF));
+  };
+  int blocked_out = 0, degraded_out = 0, blocked_in = 0;
+  for (int t = 0; t < 2'000; ++t) {
+    for (int in = 0; in < ports; ++in)
+      if (rng.bernoulli(0.45)) sched->request(in, port());
+    switch (t % 100) {
+      case 10: sched->block_output(blocked_out = port()); break;
+      case 40: sched->unblock_output(blocked_out); break;
+      case 25:
+        sched->set_output_capacity(degraded_out = port(), receivers - 1);
+        break;
+      case 75: sched->set_output_capacity(degraded_out, receivers); break;
+      case 50: sched->block_input(blocked_in = port()); break;
+      case 90: sched->unblock_input(blocked_in); break;
+      default: break;
+    }
+    const std::vector<Grant>& grants = sched->tick();
+    put(static_cast<int>(grants.size()));
+    for (const Grant& g : grants) {
+      put(g.input);
+      put(g.output);
+      put(g.receiver);
+    }
+  }
+  return ckpt::crc32(bytes);
+}
+
+TEST(Scheduler, GrantSequencesArePinned) {
+  // Exactness pin: the grant sequences of every kind, at one-word (16,
+  // 64) and three-word (130) PortSets, equal the values computed before
+  // the tick became allocation-free. Any change to arbitration order,
+  // pointer updates or receiver numbering shows up here.
+  struct Pin {
+    SchedulerKind kind;
+    int receivers;
+    int ports;
+    std::uint32_t crc;
+  };
+  const Pin pins[] = {
+      {SchedulerKind::kIslip, 1, 16, 0xA2B38FBBU},
+      {SchedulerKind::kIslip, 1, 64, 0xDE423CB9U},
+      {SchedulerKind::kIslip, 1, 130, 0xBF1F203EU},
+      {SchedulerKind::kIslip, 2, 16, 0xCCD6B025U},
+      {SchedulerKind::kIslip, 2, 64, 0x32B71AFBU},
+      {SchedulerKind::kIslip, 2, 130, 0xC6123535U},
+      {SchedulerKind::kPim, 1, 16, 0x0760042BU},
+      {SchedulerKind::kPim, 1, 64, 0xC847BF96U},
+      {SchedulerKind::kPim, 1, 130, 0xEE540D1BU},
+      {SchedulerKind::kPim, 2, 16, 0x1EE770F0U},
+      {SchedulerKind::kPim, 2, 64, 0x1A54117FU},
+      {SchedulerKind::kPim, 2, 130, 0x8D535FAAU},
+      {SchedulerKind::kPipelinedIslip, 1, 16, 0x5DF5C618U},
+      {SchedulerKind::kPipelinedIslip, 1, 64, 0xB9A00B1FU},
+      {SchedulerKind::kPipelinedIslip, 1, 130, 0x8B25BF4CU},
+      {SchedulerKind::kPipelinedIslip, 2, 16, 0x1E6FCE98U},
+      {SchedulerKind::kPipelinedIslip, 2, 64, 0x7D4456BBU},
+      {SchedulerKind::kPipelinedIslip, 2, 130, 0x1777FD49U},
+      {SchedulerKind::kFlppr, 1, 16, 0x9CAC8301U},
+      {SchedulerKind::kFlppr, 1, 64, 0xF2B4FFE8U},
+      {SchedulerKind::kFlppr, 1, 130, 0xBD9AD0CAU},
+      {SchedulerKind::kFlppr, 2, 16, 0x59A40455U},
+      {SchedulerKind::kFlppr, 2, 64, 0x39961092U},
+      {SchedulerKind::kFlppr, 2, 130, 0xC8BE0227U},
+      {SchedulerKind::kTdm, 1, 16, 0x7071C409U},
+      {SchedulerKind::kTdm, 1, 64, 0x01791A07U},
+      {SchedulerKind::kTdm, 1, 130, 0x5E6524F4U},
+      {SchedulerKind::kTdm, 2, 16, 0x5F2E714DU},
+      {SchedulerKind::kTdm, 2, 64, 0x84BC9FDCU},
+      {SchedulerKind::kTdm, 2, 130, 0x6FDC3E1CU},
+      {SchedulerKind::kWfa, 1, 16, 0x78674D93U},
+      {SchedulerKind::kWfa, 1, 64, 0xA8014BCAU},
+      {SchedulerKind::kWfa, 1, 130, 0xB0469A5AU},
+      {SchedulerKind::kWfa, 2, 16, 0x2C2D2941U},
+      {SchedulerKind::kWfa, 2, 64, 0xDA710F2EU},
+      {SchedulerKind::kWfa, 2, 130, 0xB150F293U},
+  };
+  for (const Pin& p : pins) {
+    const std::uint32_t crc = grant_sequence_crc(p.kind, p.receivers,
+                                                 p.ports);
+    EXPECT_EQ(crc, p.crc) << "kind " << static_cast<int>(p.kind)
+                          << " receivers=" << p.receivers
+                          << " ports=" << p.ports;
+  }
+}
 
 /// Cycles from a single request in an otherwise idle switch to its grant.
 int grant_latency_of_single_request(Scheduler& sched, int in, int out,

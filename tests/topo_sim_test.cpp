@@ -107,6 +107,62 @@ TEST(TopoSim, TransientFaultsFreezeAndRepairLosslessly) {
   }
 }
 
+TEST(TopoSim, WormholeArbitrationIsPinned) {
+  // Exactness pin for the wormhole VC allocator: lane counts the matrix
+  // above does not cover, a fat tree whose switches have 72 input lanes
+  // (lane masks span two words) and a transient top-stage freeze;
+  // expect_clean also requires zero reordering. The values were computed
+  // with an allocator that probed every (output, input lane) pair.
+  struct Pin {
+    const char* what;
+    TopoKind kind;
+    int hosts;
+    int lanes;
+    bool freeze;
+    double load;
+    std::uint64_t delivered;
+    double mean_delay;
+    double p99_delay;
+  };
+  const Pin pins[] = {
+      {"fat tree, 1 lane", TopoKind::kFatTree, 32, 1, false, 0.4, 2224,
+       223.38848920863313, 548.17032258064421},
+      {"fat tree, 3 lanes", TopoKind::kFatTree, 32, 3, false, 0.45, 3148,
+       114.46759847522242, 337.25999999999999},
+      {"fat tree, 4 lanes", TopoKind::kFatTree, 32, 4, false, 0.45, 2534,
+       215.47790055248637, 501.32999999999993},
+      {"clos, 3 lanes", TopoKind::kClos, 32, 3, false, 0.4, 2753,
+       122.82964039229934, 365.2349999999999},
+      {"omega, 4 lanes", TopoKind::kOmega, 32, 4, false, 0.3, 2433,
+       28.932182490752162, 57.835000000000036},
+      {"benes, 1 lane", TopoKind::kBenes, 32, 1, false, 0.3, 1663,
+       248.81298857486431, 621.21846153846127},
+      {"fat tree 288 hosts, 3 lanes", TopoKind::kFatTree, 288, 3, false, 0.4,
+       18340, 248.41782988004243, 616.60174927113678},
+      {"fat tree, top-stage freeze", TopoKind::kFatTree, 32, 2, true, 0.35,
+       1486, 374.03095558546465, 720.0},
+  };
+  for (const Pin& p : pins) {
+    TopoSimConfig cfg = base_config(p.kind, FcKind::kWormholeVc, p.hosts);
+    cfg.fc.lanes = p.lanes;
+    cfg.measure_slots = 1'000;
+    if (p.freeze) {
+      faults::FaultEvent spine;
+      spine.kind = faults::FaultKind::kPlaneFailure;
+      spine.a = 1;
+      spine.at_slot = 300;
+      spine.duration_slots = 400;
+      cfg.fault_plan.add(spine);
+      cfg.fault_plan.seeded(1);
+    }
+    const TopoSimResult r = run_topo_uniform(cfg, p.load, 0x91A);
+    expect_clean(r, p.what);
+    EXPECT_EQ(r.delivered, p.delivered) << p.what;
+    EXPECT_EQ(r.mean_delay_slots, p.mean_delay) << p.what;
+    EXPECT_EQ(r.p99_delay_slots, p.p99_delay) << p.what;
+  }
+}
+
 TEST(TopoSimDeath, PermanentMidRunFaultIsRejected) {
   TopoSimConfig cfg = base_config(TopoKind::kFatTree, FcKind::kCredit);
   faults::FaultEvent e;
