@@ -250,21 +250,24 @@ san_build="$repo/build-asan"
 cmake -B "$san_build" -S "$repo" -DOSMOSIS_SANITIZE=ON
 cmake --build "$san_build" -j "$(nproc)" \
   --target failures_test faults_test arq_test fec_test ckpt_test \
-           chaos_test topo_sim_test api_test voq_test switch_sim_test \
-           event_switch_test multiplane_test scheduler_test \
-           scheduler_fuzz_test portset_test bench_chaos chaos_repro \
-           schema_check
+           chaos_test topo_sim_test clos_test api_test voq_test \
+           switch_sim_test event_switch_test multiplane_test \
+           scheduler_test scheduler_fuzz_test portset_test bench_chaos \
+           chaos_repro schema_check
 
 # The single-stage engines keep their VOQs and request FIFOs in
 # index-linked FifoPool slabs and resequence through a flat park, so
 # their tests run here too. Scheduler ticks return a reference into
 # scheduler-owned buffers, and the wormhole lane masks index PortSet
 # words directly, so the scheduler and PortSet tests run here as well.
+# TopoSim's per-stage indexing meets the L=1 tree (one switch is leaf,
+# top and fault stage) and L=3 trees with mid-level failures only in
+# the fat-tree tests, so those run here too.
 echo "== sanitizer run: failure, fault, checkpoint, api & engine tests =="
 for t in failures_test faults_test arq_test fec_test ckpt_test \
-         chaos_test topo_sim_test api_test voq_test switch_sim_test \
-         event_switch_test multiplane_test scheduler_test \
-         scheduler_fuzz_test portset_test; do
+         chaos_test topo_sim_test clos_test api_test voq_test \
+         switch_sim_test event_switch_test multiplane_test \
+         scheduler_test scheduler_fuzz_test portset_test; do
   echo "-- $t"
   "$san_build/tests/$t" --gtest_brief=1
 done

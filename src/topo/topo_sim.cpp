@@ -14,7 +14,7 @@ TopoSim::TopoSim(TopoSimConfig cfg, std::unique_ptr<sim::TrafficGen> traffic)
     : cfg_(cfg),
       topo_(make_topology(cfg.topology, cfg.hosts, cfg.routing,
                           cfg.failed_switches, cfg.host_cable_slots,
-                          cfg.trunk_cable_slots)),
+                          cfg.trunk_cable_slots, cfg.levels)),
       traffic_(std::move(traffic)) {
   OSMOSIS_REQUIRE(cfg_.buffer_cells >= 1, "buffer_cells must be >= 1");
   if (wormhole()) {
@@ -196,7 +196,6 @@ void TopoSim::credit_upstream(const Peer& up, int lane, std::uint64_t t) {
 
 void TopoSim::accept_flit(int sw, int in_port, Flit f, std::uint64_t t) {
   Node& node = nodes_[static_cast<std::size_t>(sw)];
-  const SwitchSpec& spec = topo_.switches[static_cast<std::size_t>(sw)];
   ++f.hops;
   f.enter_slot = t;
   if (wormhole()) {
@@ -222,7 +221,6 @@ void TopoSim::accept_flit(int sw, int in_port, Flit f, std::uint64_t t) {
     if (occ > cfg_.buffer_cells) ++overflows_;
     node.sched->request(in_port, out);
   }
-  (void)spec;
 }
 
 void TopoSim::deliver(const Flit& f, std::uint64_t t, bool measuring) {

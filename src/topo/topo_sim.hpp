@@ -48,6 +48,11 @@ namespace osmosis::topo {
 struct TopoSimConfig {
   TopoKind topology = TopoKind::kFatTree;
   int hosts = 16;
+  // Fat trees only: L switch levels (1..4), so hosts must equal
+  // radix*(radix/2)^(L-1) and a worst-case path crosses 2L-1 stages.
+  // L = 2 is the paper's 3-stage OSMOSIS fabric, L = 3 the 5-stage
+  // high-end electronic one. Every other kind rejects L != 2.
+  int levels = 2;
   RouteKind routing = RouteKind::kDestMod;
   // Construction-time permanent faults, routed around where the
   // topology has path diversity (fat-tree non-leaf switches, Clos

@@ -81,28 +81,48 @@ RouteKind route_kind_from_string(const std::string& name) {
   return RouteKind::kDestMod;
 }
 
-Shape derive_shape(TopoKind kind, int hosts) {
+Shape derive_shape(TopoKind kind, int hosts, int levels) {
   Shape s;
   std::ostringstream err;
+  if (kind != TopoKind::kFatTree && levels != 2) {
+    err << to_string(kind) << ": levels = " << levels
+        << " applies only to fat_tree; this kind fixes its own stage count "
+           "(levels must stay 2)";
+    s.error = err.str();
+    return s;
+  }
   switch (kind) {
     case TopoKind::kFatTree: {
-      // Canonical two-level shape: radix * (radix/2) endpoints.
-      for (int radix = 4; radix * (radix / 2) <= hosts; radix += 2) {
-        if (radix * (radix / 2) == hosts) {
-          s.ok = true;
-          s.radix = radix;
-          s.levels = 2;
-          return s;
-        }
+      if (levels < 1 || levels > 4) {
+        err << "fat_tree: levels must be in 1..4, got " << levels;
+        break;
       }
-      int lo_radix = 4, hi_radix = 4;
-      while (hi_radix * (hi_radix / 2) < hosts) hi_radix += 2;
-      lo_radix = hi_radix > 4 ? hi_radix - 2 : 4;
-      err << "fat_tree: " << hosts
-          << " ports is not radix*(radix/2) for any even radix; nearest "
-             "valid counts are "
-          << lo_radix * (lo_radix / 2) << " (radix " << lo_radix << ") and "
-          << hi_radix * (hi_radix / 2) << " (radix " << hi_radix << ")";
+      // L levels of radix-port switches serve radix * (radix/2)^(L-1)
+      // endpoints; the smallest radix is 4.
+      const auto count = [levels](int radix) {
+        return static_cast<std::uint64_t>(radix) *
+               util::ipow(static_cast<std::uint64_t>(radix / 2),
+                          static_cast<unsigned>(levels - 1));
+      };
+      const auto want = static_cast<std::uint64_t>(std::max(hosts, 0));
+      int radix = 4;
+      while (count(radix) < want) radix += 2;
+      if (count(radix) == want) {
+        s.ok = true;
+        s.radix = radix;
+        s.levels = levels;
+        return s;
+      }
+      err << "fat_tree: " << hosts << " ports is not radix";
+      if (levels > 1) err << "*(radix/2)";
+      if (levels > 2) err << "^" << levels - 1;
+      err << " for any even radix; ";
+      if (radix > 4)
+        err << "nearest valid counts are " << count(radix - 2) << " (radix "
+            << radix - 2 << ") and ";
+      else
+        err << "the smallest valid count is ";
+      err << count(radix) << " (radix " << radix << ")";
       break;
     }
     case TopoKind::kClos: {
@@ -243,9 +263,9 @@ std::vector<int> Topology::stage_switches(int stage) const {
 
 namespace {
 
-// Build state for the FT' recursion; mirrors ClosFabricSim's historical
-// wiring exactly (same switch ids, port roles, and d-mod-k route choice)
-// so the fabric simulators consume this Topology unchanged.
+// Build state for the FT' recursion: one wiring (switch ids, port
+// roles, d-mod-k route choice) for every level count, so FabricSim and
+// TopoSim consume the same Topology and agree cell for cell at L = 2.
 struct FatTreeBuilder {
   const FatTreeParams& p;
   int m;
@@ -784,8 +804,8 @@ Topology make_omega(const MinParams& p) {
 
 Topology make_topology(TopoKind kind, int hosts, RouteKind routing,
                        const std::vector<int>& failed_switches,
-                       int host_delay, int trunk_delay) {
-  const Shape s = derive_shape(kind, hosts);
+                       int host_delay, int trunk_delay, int levels) {
+  const Shape s = derive_shape(kind, hosts, levels);
   OSMOSIS_REQUIRE(s.ok, s.error);
   switch (kind) {
     case TopoKind::kFatTree: {

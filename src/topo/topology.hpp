@@ -16,8 +16,8 @@
 // port, where each output port leads), a per-hop routing function, host
 // attach points for injection and delivery, and a connectivity + fault
 // audit that walks every routed (src, dst) path. The cell/flit
-// simulators (fabric_sim, clos_sim, topo_sim) consume this instead of
-// wiring arithmetic of their own.
+// simulators (fabric_sim, topo_sim) consume this instead of wiring
+// arithmetic of their own.
 //
 // Conventions shared with the fabric simulators: folded topologies use
 // ONE port table (a port is both an input and an output; in_peer ==
@@ -101,7 +101,10 @@ struct HostAttach {
 /// Canonical shape for `hosts` attached endpoints, derived by
 /// derive_shape(): which generator parameters realize the port count,
 /// or why none do (message names the nearest valid counts, satisfying
-/// the "(m,n,r) / k-vs-port-count" error contract).
+/// the "(m,n,r) / k-vs-port-count" error contract). Fat trees take the
+/// level count L as given and solve hosts = radix*(radix/2)^(L-1) for
+/// the radix; every other kind fixes its own stage count and rejects
+/// levels != 2.
 struct Shape {
   bool ok = false;
   std::string error;  // set when !ok
@@ -114,7 +117,7 @@ struct Shape {
   int log2_hosts = 0;
 };
 
-Shape derive_shape(TopoKind kind, int hosts);
+Shape derive_shape(TopoKind kind, int hosts, int levels = 2);
 
 struct Topology {
   TopoKind kind = TopoKind::kFatTree;
@@ -211,12 +214,14 @@ Topology make_banyan(const MinParams& p);
 Topology make_benes(const MinParams& p);
 
 /// Canonical-shape dispatcher for campaign/chaos axes: derives the
-/// generator parameters for `hosts` endpoints via derive_shape() and
-/// builds the topology. Aborts (OSMOSIS_REQUIRE) when no shape exists;
-/// validate first with mgmt::validate_topology for a soft error.
+/// generator parameters for `hosts` endpoints (and, for fat trees,
+/// `levels`) via derive_shape() and builds the topology. Aborts
+/// (OSMOSIS_REQUIRE) when no shape exists; validate first with
+/// mgmt::validate_topology for a soft error.
 Topology make_topology(TopoKind kind, int hosts,
                        RouteKind routing = RouteKind::kDestMod,
                        const std::vector<int>& failed_switches = {},
-                       int host_delay = 1, int trunk_delay = 4);
+                       int host_delay = 1, int trunk_delay = 4,
+                       int levels = 2);
 
 }  // namespace osmosis::topo

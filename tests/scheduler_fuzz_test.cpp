@@ -21,6 +21,12 @@ struct FuzzParam {
   int receivers;
 };
 
+// gtest puts GetParam() into the listed test names; without this it dumps
+// the struct's raw bytes (a pointer and padding), which vary per build.
+void PrintTo(const FuzzParam& p, std::ostream* os) {
+  *os << p.name << ", receivers=" << p.receivers;
+}
+
 class SchedulerFuzzTest : public ::testing::TestWithParam<FuzzParam> {};
 
 TEST_P(SchedulerFuzzTest, SurvivesChaosAndConservesCells) {

@@ -234,16 +234,26 @@ TEST(TopoSim, CheckpointResumeWithWormsInFlightIsByteIdentical) {
 }
 
 TEST(TopoSim, CheckpointRejectsMismatchedStructure) {
-  TopoSimConfig cfg = base_config(TopoKind::kOmega, FcKind::kCredit);
-  TopoSim a(cfg, sim::make_uniform(cfg.hosts, 0.3, 1));
-  for (int i = 0; i < 300; ++i) ASSERT_TRUE(a.advance_slot());
-  ckpt::Writer snap;
-  a.save_state(snap);
+  const auto expect_rejected = [](const TopoSimConfig& from,
+                                  const TopoSimConfig& into) {
+    TopoSim a(from, sim::make_uniform(from.hosts, 0.3, 1));
+    for (int i = 0; i < 300; ++i) ASSERT_TRUE(a.advance_slot());
+    ckpt::Writer snap;
+    a.save_state(snap);
+    TopoSim b(into, sim::make_uniform(into.hosts, 0.3, 1));
+    EXPECT_THROW(b.load_state(ckpt::Reader::from_bytes(snap.serialize())),
+                 ckpt::Error);
+  };
   // A different topology has different per-switch vector shapes.
-  TopoSimConfig other = base_config(TopoKind::kBenes, FcKind::kCredit);
-  TopoSim b(other, sim::make_uniform(other.hosts, 0.3, 1));
-  EXPECT_THROW(b.load_state(ckpt::Reader::from_bytes(snap.serialize())),
-               ckpt::Error);
+  expect_rejected(base_config(TopoKind::kOmega, FcKind::kCredit),
+                  base_config(TopoKind::kBenes, FcKind::kCredit));
+  // 128 hosts at L=2 (24 radix-16 switches) vs L=3 (80 radix-8
+  // switches): the host vectors match, the switch graph does not.
+  TopoSimConfig two = base_config(TopoKind::kFatTree, FcKind::kCredit, 128);
+  TopoSimConfig three = two;
+  three.levels = 3;
+  expect_rejected(two, three);
+  expect_rejected(three, two);
 }
 
 }  // namespace

@@ -54,6 +54,27 @@ TEST(TopoShape, ShapeErrorsNameNearestValidCounts) {
   EXPECT_NE(ft.error.find("18"), std::string::npos) << ft.error;
   EXPECT_NE(ft.error.find("32"), std::string::npos) << ft.error;
 
+  // Below the smallest tree there is no lower neighbour to name.
+  const Shape tiny = derive_shape(TopoKind::kFatTree, 6);
+  ASSERT_FALSE(tiny.ok);
+  EXPECT_NE(tiny.error.find("8 (radix 4)"), std::string::npos) << tiny.error;
+  EXPECT_EQ(tiny.error.find("8 (radix 4)"), tiny.error.rfind("8 (radix 4)"))
+      << tiny.error;
+  EXPECT_EQ(tiny.error.find("nearest"), std::string::npos) << tiny.error;
+
+  // At L=3 a tree serves radix*(radix/2)^2 hosts: 54 (radix 6) and
+  // 128 (radix 8) bracket 100.
+  const Shape deep = derive_shape(TopoKind::kFatTree, 100, 3);
+  ASSERT_FALSE(deep.ok);
+  EXPECT_NE(deep.error.find("54 (radix 6)"), std::string::npos) << deep.error;
+  EXPECT_NE(deep.error.find("128 (radix 8)"), std::string::npos)
+      << deep.error;
+
+  // Only fat trees have a level count.
+  EXPECT_DEATH(make_topology(TopoKind::kClos, 32, RouteKind::kDestMod, {}, 1,
+                             4, /*levels=*/3),
+               "levels = 3");
+
   const Shape min = derive_shape(TopoKind::kOmega, 24);
   ASSERT_FALSE(min.ok);
   EXPECT_NE(min.error.find("power of two"), std::string::npos) << min.error;
