@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <deque>
 #include <filesystem>
@@ -28,6 +30,7 @@
 #include "src/sim/traffic.hpp"
 #include "src/sw/event_switch_sim.hpp"
 #include "src/sw/switch_sim.hpp"
+#include "src/topo/topo_sim.hpp"
 #include "src/util/cli.hpp"
 
 namespace osmosis {
@@ -528,6 +531,199 @@ TEST(CkptLayout, MultiPlaneSimSnapshotBytesArePinned) {
   EXPECT_GT(parked_cells, 0u);
 
   EXPECT_EQ(body_crc(bytes), 0x16CF04BFu);
+}
+
+// The multistage pins below were recorded while every engine still kept
+// its own flow_seq vector beside a std::map order ledger and the
+// monitor's hash-map exactly-once ledger, so they hold the three flow
+// views' wire shapes fixed as well as the queues.
+//
+// Wire mirrors of the multistage engines' host-side queues: FabricSim
+// cells and TopoSim flits, each also carried in cable flight with the
+// slot they land.
+struct FabricCellWire {
+  int src = -1;
+  int dst = -1;
+  std::uint64_t seq = 0;
+  std::uint64_t inject_slot = 0;
+  std::int32_t trace = -1;
+  template <class Ar>
+  void io_state(Ar& a) {
+    ckpt::field(a, src);
+    ckpt::field(a, dst);
+    ckpt::field(a, seq);
+    ckpt::field(a, inject_slot);
+    ckpt::field(a, trace);
+  }
+};
+
+struct FlitWire {
+  int src = -1;
+  int dst = -1;
+  std::uint64_t seq = 0;
+  std::uint64_t inject_slot = 0;
+  std::uint64_t enter_slot = 0;
+  int hops = 0;
+  std::uint8_t head = 1;
+  std::uint8_t tail = 1;
+  template <class Ar>
+  void io_state(Ar& a) {
+    ckpt::field(a, src);
+    ckpt::field(a, dst);
+    ckpt::field(a, seq);
+    ckpt::field(a, inject_slot);
+    ckpt::field(a, enter_slot);
+    ckpt::field(a, hops);
+    ckpt::field(a, head);
+    ckpt::field(a, tail);
+  }
+};
+
+template <class Item>
+struct TimedWire {
+  std::uint64_t slot = 0;
+  Item item;
+  template <class Ar>
+  void io_state(Ar& a) {
+    ckpt::field(a, slot);
+    ckpt::field(a, item);
+  }
+};
+
+// A flow_seq vector that shows traffic in flight: one counter per
+// (src, dst) pair, many flows started, and as many cells sent as the
+// monitor counted offered.
+template <class Monitor>
+void expect_live_flow_seq(const std::vector<std::uint64_t>& flow_seq,
+                          int hosts, const Monitor& monitor) {
+  ASSERT_EQ(flow_seq.size(), static_cast<std::size_t>(hosts) * hosts);
+  std::uint64_t sent = 0;
+  std::size_t started = 0;
+  std::uint64_t longest = 0;
+  for (std::uint64_t s : flow_seq) {
+    sent += s;
+    started += s != 0;
+    longest = std::max(longest, s);
+  }
+  EXPECT_EQ(sent, monitor.offered_cells());
+  EXPECT_GT(started, flow_seq.size() / 2);
+  EXPECT_GT(longest, 1u);
+  EXPECT_GT(monitor.offered_cells(), monitor.delivered_cells());
+}
+
+TEST(CkptLayout, FabricSimSnapshotBytesArePinned) {
+  // 200 slots into the spine outage: leaves hold cells for the frozen
+  // spine, credits and cells are on the cables, hosts are backlogged.
+  fabric::FabricSimConfig cfg;
+  cfg.radix = 8;
+  cfg.warmup_slots = 200;
+  cfg.measure_slots = 2'000;
+  cfg.fault_plan = exec::make_fault_plan(exec::FaultScenario::kSpineOutage,
+                                         cfg.warmup_slots, cfg.measure_slots);
+  cfg.fault_plan.seeded(0x5EED);
+  cfg.drain_max_slots = 20'000;
+  const int hosts = cfg.radix * cfg.radix / 2;
+  fabric::FabricSim sim(cfg, sim::make_uniform(hosts, 0.6, 23));
+  for (int i = 0; i < 900; ++i) ASSERT_TRUE(sim.advance_slot());
+  const std::string bytes = snapshot_bytes(sim);
+
+  const auto r = ckpt::Reader::from_bytes(bytes);
+  ckpt::Source core = r.chunk("fabric.core");
+  std::uint64_t now = 0;
+  std::vector<std::deque<FabricCellWire>> host_queue;
+  std::vector<int> host_credits;
+  std::vector<std::deque<std::uint64_t>> host_credit_in;
+  std::vector<std::deque<TimedWire<FabricCellWire>>> host_out;
+  std::vector<std::uint64_t> flow_seq;
+  ckpt::field(core, now);
+  ckpt::field(core, host_queue);
+  ckpt::field(core, host_credits);
+  ckpt::field(core, host_credit_in);
+  ckpt::field(core, host_out);
+  ckpt::field(core, flow_seq);
+  EXPECT_EQ(now, 900u);
+  ASSERT_EQ(host_queue.size(), static_cast<std::size_t>(hosts));
+  std::size_t host_backlog = 0;
+  for (const auto& q : host_queue) host_backlog += q.size();
+  EXPECT_GT(host_backlog, 0u);
+  expect_live_flow_seq(flow_seq, hosts, sim.monitor());
+
+  EXPECT_EQ(body_crc(bytes), 0xBF120578u);
+}
+
+TEST(CkptLayout, TopoSimSnapshotBytesArePinned) {
+  struct Case {
+    const char* what;
+    topo::FcKind fc;
+    topo::TopoKind kind;
+    bool freeze;
+    double load;
+    std::uint32_t crc;
+  };
+  // Credit FC: 150 slots into a transient freeze of top switch 0, so
+  // its VOQs and the credits owed to it are parked. Wormhole VC: worms
+  // mid-flight in the Benes network's lanes.
+  const Case cases[] = {
+      {"credit", topo::FcKind::kCredit, topo::TopoKind::kFatTree, true, 0.5,
+       0x634C51A0u},
+      {"wormhole", topo::FcKind::kWormholeVc, topo::TopoKind::kBenes, false,
+       0.5, 0xF4A0D6C8u},
+  };
+  for (const Case& c : cases) {
+    topo::TopoSimConfig cfg;
+    cfg.topology = c.kind;
+    cfg.hosts = 32;
+    cfg.fc.kind = c.fc;
+    cfg.warmup_slots = 200;
+    cfg.measure_slots = 2'000;
+    cfg.drain_max_slots = 50'000;
+    if (c.freeze) {
+      faults::FaultEvent top;
+      top.kind = faults::FaultKind::kPlaneFailure;
+      top.a = 0;
+      top.at_slot = 400;
+      top.duration_slots = 300;
+      cfg.fault_plan.add(top);
+      cfg.fault_plan.seeded(1);
+    }
+    const double packet_p =
+        c.fc == topo::FcKind::kWormholeVc ? c.load / cfg.fc.flits_per_packet
+                                          : c.load;
+    topo::TopoSim sim(cfg, sim::make_uniform(cfg.hosts, packet_p, 0x5EED));
+    for (int i = 0; i < 550; ++i) ASSERT_TRUE(sim.advance_slot()) << c.what;
+    const std::string bytes = snapshot_bytes(sim);
+
+    const auto r = ckpt::Reader::from_bytes(bytes);
+    ckpt::Source core = r.chunk("topo.core");
+    std::uint64_t now = 0;
+    std::uint64_t drained = 0;
+    std::vector<std::deque<FlitWire>> host_queue;
+    std::vector<int> host_credits;
+    std::vector<int> host_lane_credits;
+    std::vector<std::deque<std::uint64_t>> host_credit_in;
+    std::vector<std::deque<std::pair<std::uint64_t, int>>> host_lane_credit_in;
+    std::vector<std::deque<TimedWire<FlitWire>>> host_out;
+    std::vector<std::uint64_t> flow_seq;
+    ckpt::field(core, now);
+    ckpt::field(core, drained);
+    ckpt::field(core, host_queue);
+    ckpt::field(core, host_credits);
+    ckpt::field(core, host_lane_credits);
+    ckpt::field(core, host_credit_in);
+    ckpt::field(core, host_lane_credit_in);
+    ckpt::field(core, host_out);
+    ckpt::field(core, flow_seq);
+    EXPECT_EQ(now, 550u) << c.what;
+    ASSERT_EQ(host_queue.size(), static_cast<std::size_t>(cfg.hosts));
+    // Exactly one of the two host credit schemes is populated.
+    EXPECT_EQ(host_credits.empty(), c.fc == topo::FcKind::kWormholeVc)
+        << c.what;
+    EXPECT_EQ(host_lane_credits.empty(), c.fc != topo::FcKind::kWormholeVc)
+        << c.what;
+    expect_live_flow_seq(flow_seq, cfg.hosts, sim.monitor());
+
+    EXPECT_EQ(body_crc(bytes), c.crc) << c.what;
+  }
 }
 
 TEST(CkptResume, TamperedSnapshotNeverLoadsPartially) {
