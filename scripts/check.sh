@@ -24,8 +24,9 @@
 # bench_vi_c_stage_count and schema-check its topology report section,
 # assert the disabled-profiler overhead bound on
 # bench_micro numbers, then rebuild under ASan+UBSan (failure/fault/
-# chaos/checkpoint tests plus the full injected-defect -> shrink ->
-# chaos_repro round trip — mid-run structural changes and raw-byte
+# chaos/checkpoint/flow-ledger tests plus the full injected-defect ->
+# shrink -> chaos_repro round trip for a dropped and for a duplicated
+# delivery — mid-run structural changes and raw-byte
 # deserialization, where memory bugs hide) and under TSan (the exec
 # tests plus a multi-threaded smoke campaign and the chaos soak's
 # thread pool — the only concurrency in the tree).
@@ -252,7 +253,8 @@ cmake --build "$san_build" -j "$(nproc)" \
   --target failures_test faults_test arq_test fec_test ckpt_test \
            chaos_test topo_sim_test clos_test api_test voq_test \
            switch_sim_test event_switch_test multiplane_test \
-           scheduler_test scheduler_fuzz_test portset_test bench_chaos \
+           scheduler_test scheduler_fuzz_test portset_test \
+           flow_ledger_test rng_stats_test baseline_test bench_chaos \
            chaos_repro schema_check
 
 # The single-stage engines keep their VOQs and request FIFOs in
@@ -262,27 +264,35 @@ cmake --build "$san_build" -j "$(nproc)" \
 # words directly, so the scheduler and PortSet tests run here as well.
 # TopoSim's per-stage indexing meets the L=1 tree (one switch is leaf,
 # top and fault stage) and L=3 trees with mid-level failures only in
-# the fat-tree tests, so those run here too.
+# the fat-tree tests, so those run here too. Every engine indexes one
+# dense sim::FlowLedger array and its side table, the baseline switches
+# included, and the ledger loads its three checkpoint views from raw
+# bytes, so the ledger, stats and baseline tests run here as well.
 echo "== sanitizer run: failure, fault, checkpoint, api & engine tests =="
 for t in failures_test faults_test arq_test fec_test ckpt_test \
          chaos_test topo_sim_test clos_test api_test voq_test \
          switch_sim_test event_switch_test multiplane_test \
-         scheduler_test scheduler_fuzz_test portset_test; do
+         scheduler_test scheduler_fuzz_test portset_test \
+         flow_ledger_test rng_stats_test baseline_test; do
   echo "-- $t"
   "$san_build/tests/$t" --gtest_brief=1
 done
 
-echo "== sanitizer run: shrinker round trip on an injected defect =="
-# Arm a deliberate accounting bug (dropped deliveries inside fault
-# windows), let the soak detect it, shrink the failing trial to a
-# minimal repro, then replay the repro file and demand the same
-# verdict — the full chaos pipeline under ASan+UBSan.
-san_repro="$san_build/chaos_defect_repro.json"
-"$san_build/bench/bench_chaos" --trials=25 --seed=7 \
-  --inject-defect=drop_delivery_during_fault --shrink \
-  --repro-out="$san_repro" > /dev/null
-"$san_build/bench/schema_check" --repro="$san_repro"
-"$san_build/bench/chaos_repro" "$san_repro"
+echo "== sanitizer run: shrinker round trips on injected defects =="
+# Arm a deliberate accounting bug inside fault windows, let the soak
+# detect it, shrink the failing trial to a minimal repro, then replay
+# the repro file and demand the same verdict — the full chaos pipeline
+# under ASan+UBSan. A dropped delivery leaves a gap and a duplicated one
+# a repeat, so each moves flows into the flow ledger's side table.
+for defect in drop_delivery_during_fault duplicate_delivery_during_fault; do
+  echo "-- $defect"
+  san_repro="$san_build/chaos_${defect}_repro.json"
+  "$san_build/bench/bench_chaos" --trials=25 --seed=7 \
+    --inject-defect="$defect" --shrink \
+    --repro-out="$san_repro" > /dev/null
+  "$san_build/bench/schema_check" --repro="$san_repro"
+  "$san_build/bench/chaos_repro" "$san_repro"
+done
 
 echo "== sanitizer run: degraded-mode repro replay =="
 # The committed graceful-degradation reference trial (permanent spine

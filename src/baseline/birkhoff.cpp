@@ -9,19 +9,18 @@ BvnSwitch::BvnSwitch(int ports, std::unique_ptr<sim::TrafficGen> traffic)
       traffic_(std::move(traffic)),
       middle_voq_(static_cast<std::size_t>(ports),
                   std::vector<std::deque<sw::Cell>>(
-                      static_cast<std::size_t>(ports))),
-      flow_seq_(static_cast<std::size_t>(ports) *
-                    static_cast<std::size_t>(ports),
-                0) {
+                      static_cast<std::size_t>(ports))) {
   OSMOSIS_REQUIRE(ports_ >= 1, "need at least one port");
   OSMOSIS_REQUIRE(traffic_ != nullptr && traffic_->ports() == ports_,
                   "traffic generator port mismatch");
+  ledger_ = sim::FlowLedger(
+      static_cast<std::size_t>(ports) * static_cast<std::size_t>(ports),
+      static_cast<std::size_t>(ports));
 }
 
 BvnResult BvnSwitch::run(std::uint64_t warmup, std::uint64_t measure) {
   sim::Histogram delay_hist(256.0);
   sim::ThroughputMeter meter;
-  sim::ReorderDetector reorder;
   BvnResult r;
   r.ports = ports_;
   r.offered_load = traffic_->offered_load();
@@ -42,7 +41,7 @@ BvnResult BvnSwitch::run(std::uint64_t warmup, std::uint64_t measure) {
       sw::Cell cell;
       cell.src = in;
       cell.dst = a.dst;
-      cell.seq = flow_seq_[flow]++;
+      cell.seq = ledger_.send(flow);
       cell.arrival_slot = t;
       const int mid = (in + shift) % ports_;
       middle_voq_[static_cast<std::size_t>(mid)]
@@ -59,7 +58,10 @@ BvnResult BvnSwitch::run(std::uint64_t warmup, std::uint64_t measure) {
       if (q.empty()) continue;
       const sw::Cell cell = q.front();
       q.pop_front();
-      reorder.deliver(cell.src, cell.dst, cell.seq);
+      ledger_.deliver(static_cast<std::uint64_t>(cell.src) *
+                              static_cast<std::uint64_t>(ports_) +
+                          static_cast<std::uint64_t>(cell.dst),
+                      cell.seq);
       if (measuring) {
         delay_hist.add(static_cast<double>(t - cell.arrival_slot) + 1.0);
         meter.add_delivery();
@@ -73,8 +75,8 @@ BvnResult BvnSwitch::run(std::uint64_t warmup, std::uint64_t measure) {
   r.mean_delay = delay_hist.mean();
   r.p99_delay = delay_hist.p99();
   r.delivered = delay_hist.count();
-  r.out_of_order = reorder.out_of_order();
-  r.reorder_fraction = reorder.reorder_fraction();
+  r.out_of_order = ledger_.out_of_order();
+  r.reorder_fraction = ledger_.reorder_fraction();
   return r;
 }
 

@@ -15,6 +15,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/sim/flow_ledger.hpp"
 #include "src/sim/stats.hpp"
 #include "src/sim/traffic.hpp"
 #include "src/sw/cell.hpp"
@@ -43,7 +44,7 @@ class BvnSwitch {
   std::unique_ptr<sim::TrafficGen> traffic_;
   // middle_voq_[m][out]: cells parked at middle port m for output `out`.
   std::vector<std::vector<std::deque<sw::Cell>>> middle_voq_;
-  std::vector<std::uint64_t> flow_seq_;
+  sim::FlowLedger ledger_;  // per (src, dst): sequences and order
 };
 
 BvnResult run_bvn_uniform(int ports, double load, std::uint64_t seed,

@@ -23,15 +23,14 @@ CioqSwitch::CioqSwitch(CioqConfig cfg,
   voqs_.reserve(static_cast<std::size_t>(cfg_.ports));
   for (int in = 0; in < cfg_.ports; ++in) voqs_.emplace_back(in, cfg_.ports);
   out_queue_.resize(static_cast<std::size_t>(cfg_.ports));
-  flow_seq_.assign(static_cast<std::size_t>(cfg_.ports) *
-                       static_cast<std::size_t>(cfg_.ports),
-                   0);
+  ledger_ = sim::FlowLedger(static_cast<std::size_t>(cfg_.ports) *
+                                static_cast<std::size_t>(cfg_.ports),
+                            static_cast<std::size_t>(cfg_.ports));
 }
 
 CioqResult CioqSwitch::run() {
   sim::Histogram delay_hist;
   sim::ThroughputMeter meter;
-  sim::ReorderDetector reorder;
   std::uint64_t violations = 0, opportunities = 0;
   int max_out_occ = 0;
 
@@ -56,7 +55,7 @@ CioqResult CioqSwitch::run() {
       sw::Cell cell;
       cell.src = in;
       cell.dst = a.dst;
-      cell.seq = flow_seq_[flow]++;
+      cell.seq = ledger_.send(flow);
       cell.arrival_slot = t;
       voqs_[static_cast<std::size_t>(in)].push(cell);
       sched_->request(in, a.dst);
@@ -93,7 +92,10 @@ CioqResult CioqSwitch::run() {
         const sw::Cell cell = q.front();
         q.pop_front();
         --waiting[static_cast<std::size_t>(out)];
-        reorder.deliver(cell.src, cell.dst, cell.seq);
+        ledger_.deliver(static_cast<std::uint64_t>(cell.src) *
+                                static_cast<std::uint64_t>(cfg_.ports) +
+                            static_cast<std::uint64_t>(cell.dst),
+                        cell.seq);
         if (measuring) {
           delay_hist.add(static_cast<double>(t - cell.arrival_slot) + 1.0);
           meter.add_delivery();
@@ -116,7 +118,7 @@ CioqResult CioqSwitch::run() {
           ? static_cast<double>(violations) / static_cast<double>(opportunities)
           : 0.0;
   r.max_output_occupancy = max_out_occ;
-  r.out_of_order = reorder.out_of_order();
+  r.out_of_order = ledger_.out_of_order();
   return r;
 }
 

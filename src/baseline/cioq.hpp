@@ -19,6 +19,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/sim/flow_ledger.hpp"
 #include "src/sim/stats.hpp"
 #include "src/sim/traffic.hpp"
 #include "src/sw/scheduler.hpp"
@@ -60,7 +61,7 @@ class CioqSwitch {
   std::unique_ptr<sw::Scheduler> sched_;
   std::vector<sw::VoqBank> voqs_;
   std::vector<std::deque<sw::Cell>> out_queue_;
-  std::vector<std::uint64_t> flow_seq_;
+  sim::FlowLedger ledger_;  // per (src, dst): sequences and order
 };
 
 CioqResult run_cioq_uniform(const CioqConfig& cfg, double load,

@@ -24,9 +24,6 @@ DataVortex::DataVortex(DataVortexConfig cfg,
   nodes_.assign(nodes, std::nullopt);
   next_nodes_.assign(nodes, std::nullopt);
   inject_queue_.resize(static_cast<std::size_t>(cfg_.ports));
-  flow_seq_.assign(static_cast<std::size_t>(cfg_.ports) *
-                       static_cast<std::size_t>(cfg_.ports),
-                   0);
 }
 
 int DataVortex::node_index(int cyl, int height, int angle) const {

@@ -74,7 +74,6 @@ class DataVortex {
   std::vector<std::optional<Packet>> nodes_;
   std::vector<std::optional<Packet>> next_nodes_;
   std::vector<std::deque<Packet>> inject_queue_;  // per input
-  std::vector<std::uint64_t> flow_seq_;
 };
 
 DataVortexResult run_vortex_uniform(const DataVortexConfig& cfg, double load,

@@ -7,19 +7,18 @@ namespace osmosis::baseline {
 OqSwitch::OqSwitch(int ports, std::unique_ptr<sim::TrafficGen> traffic)
     : ports_(ports),
       traffic_(std::move(traffic)),
-      out_queue_(static_cast<std::size_t>(ports)),
-      flow_seq_(static_cast<std::size_t>(ports) *
-                    static_cast<std::size_t>(ports),
-                0) {
+      out_queue_(static_cast<std::size_t>(ports)) {
   OSMOSIS_REQUIRE(ports_ >= 1, "need at least one port");
   OSMOSIS_REQUIRE(traffic_ != nullptr && traffic_->ports() == ports_,
                   "traffic generator port mismatch");
+  ledger_ = sim::FlowLedger(
+      static_cast<std::size_t>(ports) * static_cast<std::size_t>(ports),
+      static_cast<std::size_t>(ports));
 }
 
 OqResult OqSwitch::run(std::uint64_t warmup, std::uint64_t measure) {
   sim::Histogram delay_hist;
   sim::ThroughputMeter meter;
-  sim::ReorderDetector reorder;
   OqResult r;
   r.offered_load = traffic_->offered_load();
 
@@ -36,7 +35,7 @@ OqResult OqSwitch::run(std::uint64_t warmup, std::uint64_t measure) {
       sw::Cell cell;
       cell.src = in;
       cell.dst = a.dst;
-      cell.seq = flow_seq_[flow]++;
+      cell.seq = ledger_.send(flow);
       cell.arrival_slot = t;
       cell.cls = a.cls;
       out_queue_[static_cast<std::size_t>(a.dst)].push_back(cell);
@@ -49,7 +48,10 @@ OqResult OqSwitch::run(std::uint64_t warmup, std::uint64_t measure) {
       if (q.empty()) continue;
       const sw::Cell cell = q.front();
       q.pop_front();
-      reorder.deliver(cell.src, cell.dst, cell.seq);
+      ledger_.deliver(static_cast<std::uint64_t>(cell.src) *
+                              static_cast<std::uint64_t>(ports_) +
+                          static_cast<std::uint64_t>(cell.dst),
+                      cell.seq);
       if (measuring) {
         delay_hist.add(static_cast<double>(t - cell.arrival_slot) + 1.0);
         meter.add_delivery();
@@ -63,7 +65,7 @@ OqResult OqSwitch::run(std::uint64_t warmup, std::uint64_t measure) {
   r.mean_delay = delay_hist.mean();
   r.p99_delay = delay_hist.p99();
   r.delivered = delay_hist.count();
-  r.out_of_order = reorder.out_of_order();
+  r.out_of_order = ledger_.out_of_order();
   r.work_conserving_violated = false;
   return r;
 }

@@ -14,6 +14,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/sim/flow_ledger.hpp"
 #include "src/sim/stats.hpp"
 #include "src/sim/traffic.hpp"
 #include "src/sw/cell.hpp"
@@ -40,7 +41,7 @@ class OqSwitch {
   int ports_;
   std::unique_ptr<sim::TrafficGen> traffic_;
   std::vector<std::deque<sw::Cell>> out_queue_;
-  std::vector<std::uint64_t> flow_seq_;
+  sim::FlowLedger ledger_;  // per (src, dst): sequences and order
 };
 
 /// Convenience for the bench sweep.

@@ -38,14 +38,12 @@ bool InvariantMonitor::defect_fires(Defect kind) {
   return cfg_.defect_period > 0 && defect_counter_ % cfg_.defect_period == 0;
 }
 
-void InvariantMonitor::delivered(std::uint64_t flow, std::uint64_t seq) {
+void InvariantMonitor::deliver_with_defect(std::uint64_t flow,
+                                           std::uint64_t seq) {
   if (defect_fires(Defect::kDropDeliveryDuringFault)) return;
-  ++delivered_;
-  checker_.delivered(flow, seq);
-  if (defect_fires(Defect::kDuplicateDeliveryDuringFault)) {
-    ++delivered_;
-    checker_.delivered(flow, seq);
-  }
+  ledger_.deliver(flow, seq);
+  if (defect_fires(Defect::kDuplicateDeliveryDuringFault))
+    ledger_.deliver(flow, seq);
 }
 
 void InvariantMonitor::violate(std::uint64_t slot, const std::string& what) {
@@ -61,23 +59,25 @@ void InvariantMonitor::violate(std::uint64_t slot, const std::string& what) {
 void InvariantMonitor::end_slot(const SlotState& s) {
   ++checks_;
   open_faults_ = s.active_faults;
+  const std::uint64_t offered = ledger_.sent();
+  const std::uint64_t delivered = ledger_.delivered();
 
   // Cell conservation: every offered cell is delivered, queued somewhere
   // in the machine, or declared dropped by an active fault semantic.
-  if (offered_ != delivered_ + dropped_ + s.queued) {
+  if (offered != delivered + dropped_ + s.queued) {
     std::ostringstream os;
-    os << "conservation: offered=" << offered_ << " != delivered="
-       << delivered_ << " + queued=" << s.queued << " + dropped=" << dropped_;
+    os << "conservation: offered=" << offered << " != delivered="
+       << delivered << " + queued=" << s.queued << " + dropped=" << dropped_;
     violate(s.slot, os.str());
   }
 
   // Liveness watchdog. Progress = a delivery since the last check, an
   // empty machine, an open fault window, or retries still maturing
   // toward their timeout; any of these re-arms the timer.
-  if (delivered_ != last_delivered_ || s.queued == 0 || s.active_faults > 0 ||
+  if (delivered != last_delivered_ || s.queued == 0 || s.active_faults > 0 ||
       s.retries_pending > 0) {
     last_progress_slot_ = s.slot;
-    last_delivered_ = delivered_;
+    last_delivered_ = delivered;
   } else if (s.slot - last_progress_slot_ >= cfg_.deadlock_slots) {
     std::ostringstream os;
     os << "deadlock: backlog=" << s.queued << " cells with no delivery for "
@@ -89,10 +89,10 @@ void InvariantMonitor::end_slot(const SlotState& s) {
 
 void InvariantMonitor::check_generated(std::uint64_t slot,
                                        std::uint64_t generated) {
-  if (generated == offered_ + shed_) return;
+  if (generated == ledger_.sent() + shed_) return;
   std::ostringstream os;
   os << "conservation(source): generated=" << generated
-     << " != offered=" << offered_ << " + shed=" << shed_;
+     << " != offered=" << ledger_.sent() << " + shed=" << shed_;
   violate(slot, os.str());
 }
 
@@ -130,10 +130,12 @@ void InvariantMonitor::finish(std::uint64_t slot,
 
   // Residual conservation: after the drain phase everything offered must
   // be delivered (or stranded behind a declared permanent fault).
-  if (offered_ != delivered_ + dropped_ + residual_backlog) {
+  const std::uint64_t offered = ledger_.sent();
+  const std::uint64_t delivered = ledger_.delivered();
+  if (offered != delivered + dropped_ + residual_backlog) {
     std::ostringstream os;
-    os << "conservation(final): offered=" << offered_
-       << " != delivered=" << delivered_ << " + residual=" << residual_backlog
+    os << "conservation(final): offered=" << offered
+       << " != delivered=" << delivered << " + residual=" << residual_backlog
        << " + dropped=" << dropped_;
     violate(slot, os.str());
   }
@@ -144,7 +146,7 @@ void InvariantMonitor::finish(std::uint64_t slot,
     violate(slot, os.str());
   }
 
-  const auto rep = checker_.report();
+  const auto rep = ledger_.report();
   if (rep.duplicates != 0) {
     std::ostringstream os;
     os << "exactly_once: " << rep.duplicates << " duplicate deliveries";
@@ -163,12 +165,12 @@ void InvariantMonitor::finish(std::uint64_t slot,
 }
 
 void InvariantMonitor::to_report(telemetry::RunReport& r) const {
-  if (checks_ == 0 && offered_ == 0) return;  // monitor never engaged
-  const auto rep = checker_.report();
+  if (checks_ == 0 && ledger_.sent() == 0) return;  // never engaged
+  const auto rep = ledger_.report();
   r.invariants["checks"] = static_cast<double>(checks_);
   r.invariants["violations"] = static_cast<double>(violations_);
-  r.invariants["offered"] = static_cast<double>(offered_);
-  r.invariants["delivered"] = static_cast<double>(delivered_);
+  r.invariants["offered"] = static_cast<double>(rep.offered);
+  r.invariants["delivered"] = static_cast<double>(rep.delivered);
   r.invariants["dropped_declared"] = static_cast<double>(dropped_);
   if (shed_ != 0) r.invariants["shed"] = static_cast<double>(shed_);
   r.invariants["duplicates"] = static_cast<double>(rep.duplicates);

@@ -1,8 +1,11 @@
 #pragma once
 // Runtime invariant verification for the chaos soak subsystem
-// (DESIGN.md §12). The InvariantMonitor extends the end-of-run
-// faults::ExactlyOnceChecker audit with continuously checked ledgers,
-// evaluated every slot inside all four simulators:
+// (DESIGN.md §12). The InvariantMonitor owns the engine's per-flow
+// sim::FlowLedger (DESIGN.md §18): every cell takes its flow sequence
+// number from it and every delivery is audited against it, which feeds
+// both the results' out-of-order count and the end-of-run exactly-once
+// verdict. Around it the monitor keeps continuously checked ledgers,
+// evaluated every slot inside the simulators:
 //
 //  * cell conservation — offered == delivered + in-flight/queued +
 //    dropped-by-declared-fault, checked at every slot boundary and once
@@ -33,7 +36,7 @@
 #include <vector>
 
 #include "src/ckpt/archive.hpp"
-#include "src/faults/invariant.hpp"
+#include "src/sim/flow_ledger.hpp"
 
 namespace osmosis::telemetry {
 struct RunReport;
@@ -46,10 +49,10 @@ namespace osmosis::chaos {
 /// a minimal repro always retains at least one fault event.
 enum class Defect : std::uint8_t {
   kNone = 0,
-  // Every Nth delivered() call while a fault window is open is silently
+  // Every Nth deliver() call while a fault window is open is silently
   // swallowed — models a delivery-accounting bug in fault handling.
   kDropDeliveryDuringFault = 1,
-  // Every Nth delivered() call while a fault window is open is recorded
+  // Every Nth deliver() call while a fault window is open is recorded
   // twice — models a duplicate-completion bug.
   kDuplicateDeliveryDuringFault = 2,
   // Every Nth credit-ledger check while a fault window is open leaks one
@@ -89,13 +92,22 @@ class InvariantMonitor {
   /// Re-arms the configuration; call before the first ledger feed.
   void configure(const MonitorConfig& cfg) { cfg_ = cfg; }
   const MonitorConfig& config() const { return cfg_; }
+  /// Sizes the flow ledger to `flows` dense ids whose order view keys
+  /// flow f as (f / width, f % width); call before the first send.
+  void preset_flows(std::size_t flows, std::size_t width) {
+    ledger_ = sim::FlowLedger(flows, width);
+  }
 
   // ---- ledger feed (called from the simulators' hot paths) ------------
-  void offered(std::uint64_t flow) {
-    ++offered_;
-    checker_.offered(flow);
+  /// A cell of `flow` entered the system; returns its flow sequence.
+  std::uint64_t send(std::uint64_t flow) { return ledger_.send(flow); }
+  /// The cell of `flow` with sequence `seq` left the system.
+  void deliver(std::uint64_t flow, std::uint64_t seq) {
+    if (cfg_.defect == Defect::kNone)
+      ledger_.deliver(flow, seq);
+    else
+      deliver_with_defect(flow, seq);
   }
-  void delivered(std::uint64_t flow, std::uint64_t seq);
   /// A cell lost to a *declared* fault semantic (none of the current
   /// simulators drop cells; retained for future lossy fault kinds).
   void dropped_by_fault(std::uint64_t n = 1) { dropped_ += n; }
@@ -146,20 +158,40 @@ class InvariantMonitor {
     return log_.empty() ? std::string() : log_.front();
   }
 
-  std::uint64_t offered_cells() const { return offered_; }
-  std::uint64_t delivered_cells() const { return delivered_; }
+  std::uint64_t offered_cells() const { return ledger_.sent(); }
+  std::uint64_t delivered_cells() const { return ledger_.delivered(); }
   std::uint64_t shed_cells() const { return shed_; }
-  const faults::ExactlyOnceChecker& exactly_once() const { return checker_; }
+  /// Out-of-order count and the exactly-once report().
+  const sim::FlowLedger& ledger() const { return ledger_; }
 
   /// Fills RunReport::invariants (+ violation log). No-op before any
   /// ledger feed so unrelated reports stay byte-identical.
   void to_report(telemetry::RunReport& r) const;
 
+  /// The ledger's flow_seq and order views, which engines write in their
+  /// own chunks. Load them in this order, then io_state, which carries
+  /// the exactly-once view.
+  template <class Ar>
+  void io_flow_seq(Ar& a) {
+    ledger_.io_flow_seq(a);
+  }
+  template <class Ar>
+  void io_order(Ar& a) {
+    ledger_.io_order(a);
+  }
+
   template <class Ar>
   void io_state(Ar& a) {
-    ckpt::field(a, checker_);
-    ckpt::field(a, offered_);
-    ckpt::field(a, delivered_);
+    ledger_.io_exactly_once(a);
+    std::uint64_t offered = ledger_.sent();
+    std::uint64_t delivered = ledger_.delivered();
+    ckpt::field(a, offered);
+    ckpt::field(a, delivered);
+    if constexpr (Ar::kLoading) {
+      if (offered != ledger_.sent() || delivered != ledger_.delivered())
+        throw ckpt::Error("invariant monitor totals disagree with its flow "
+                          "ledger in checkpoint");
+    }
     ckpt::field(a, dropped_);
     ckpt::field(a, checks_);
     ckpt::field(a, violations_);
@@ -177,11 +209,10 @@ class InvariantMonitor {
  private:
   void violate(std::uint64_t slot, const std::string& what);
   bool defect_fires(Defect kind);
+  void deliver_with_defect(std::uint64_t flow, std::uint64_t seq);
 
   MonitorConfig cfg_;
-  faults::ExactlyOnceChecker checker_;
-  std::uint64_t offered_ = 0;
-  std::uint64_t delivered_ = 0;
+  sim::FlowLedger ledger_;
   std::uint64_t dropped_ = 0;
   std::uint64_t shed_ = 0;
   std::uint64_t checks_ = 0;

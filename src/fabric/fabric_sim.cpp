@@ -113,14 +113,15 @@ FabricSim::FabricSim(FabricSimConfig cfg,
     mc.allow_stranded = mc.allow_stranded || permanent_stranding;
     mc.expect_drain = cfg_.drain_max_slots > 0;
     monitor_.configure(mc);
+    monitor_.preset_flows(static_cast<std::size_t>(hosts_) *
+                              static_cast<std::size_t>(hosts_),
+                          static_cast<std::size_t>(hosts_));
   }
 
   host_queue_.resize(static_cast<std::size_t>(hosts_));
   host_credits_.assign(static_cast<std::size_t>(hosts_), cfg_.buffer_cells);
   host_credit_in_.resize(static_cast<std::size_t>(hosts_));
   host_out_.resize(static_cast<std::size_t>(hosts_));
-  flow_seq_.assign(
-      static_cast<std::size_t>(hosts_) * static_cast<std::size_t>(hosts_), 0);
   grants_per_switch_.assign(static_cast<std::size_t>(total_switches), 0);
   telem_.series().set_channels({"backlog", "host_backlog", "input_occupancy",
                                 "credit_occupancy", "throughput",
@@ -236,11 +237,10 @@ int FabricSim::route(int sw_id, int dst) const {
 
 void FabricSim::deliver_now(const FabricCell& cell, std::uint64_t t,
                             bool measuring) {
-  reorder_.deliver(cell.src, cell.dst, cell.seq);
-  monitor_.delivered(static_cast<std::uint64_t>(cell.src) *
-                             static_cast<std::uint64_t>(hosts_) +
-                         static_cast<std::uint64_t>(cell.dst),
-                     cell.seq);
+  monitor_.deliver(static_cast<std::uint64_t>(cell.src) *
+                           static_cast<std::uint64_t>(hosts_) +
+                       static_cast<std::uint64_t>(cell.dst),
+                   cell.seq);
   telem_.finish_cell(cell.trace, static_cast<double>(t), measuring);
   ++total_delivered_;
   if (measuring) {
@@ -353,10 +353,9 @@ void FabricSim::step(std::uint64_t t, bool measuring, bool inject_traffic) {
       const std::size_t flow = static_cast<std::size_t>(h) *
                                    static_cast<std::size_t>(hosts_) +
                                static_cast<std::size_t>(a.dst);
-      FabricCell cell{h, a.dst, flow_seq_[flow]++, t,
+      FabricCell cell{h, a.dst, monitor_.send(flow), t,
                       telem_.begin_cell(h, a.dst, static_cast<double>(t))};
       ++offered_;
-      monitor_.offered(static_cast<std::uint64_t>(flow));
       host_queue_[static_cast<std::size_t>(h)].push_back(cell);
       max_host_backlog_ =
           std::max(max_host_backlog_,
@@ -702,7 +701,7 @@ FabricSimResult FabricSim::finalize() {
           std::max(r.max_spine_input_occupancy, occ);
   }
   r.max_host_backlog = max_host_backlog_;
-  r.out_of_order = reorder_.out_of_order();
+  r.out_of_order = monitor_.ledger().out_of_order();
   r.buffer_overflows = overflows_;
   r.offered = offered_;
   r.faults_injected = faults_injected_;
@@ -712,7 +711,7 @@ FabricSimResult FabricSim::finalize() {
   r.max_recovery_slots = recovery_.max_recovery_slots();
   r.drained_slots = drained_slots_;
   monitor_.finish(now_, backlog());
-  const auto inv = monitor_.exactly_once().report();
+  const auto inv = monitor_.ledger().report();
   r.exactly_once_in_order = inv.exactly_once_in_order();
   r.duplicates = inv.duplicates;
   r.missing = inv.missing;
@@ -774,7 +773,7 @@ void FabricSim::io_core(Ar& a) {
   ckpt::field(a, host_credits_);
   ckpt::field(a, host_credit_in_);
   ckpt::field(a, host_out_);
-  ckpt::field(a, flow_seq_);
+  monitor_.io_flow_seq(a);
   ckpt::field(a, spine_down_);
   ckpt::field(a, host_stalled_);
   ckpt::field(a, offered_);
@@ -811,7 +810,7 @@ template <class Ar>
 void FabricSim::io_stats(Ar& a) {
   ckpt::field(a, delay_hist_);
   ckpt::field(a, meter_);
-  ckpt::field(a, reorder_);
+  monitor_.io_order(a);
   ckpt::field(a, max_host_backlog_);
   ckpt::field(a, overflows_);
   ckpt::field(a, monitor_);

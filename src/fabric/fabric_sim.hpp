@@ -268,12 +268,10 @@ class FabricSim {
   std::vector<int> host_credits_;
   std::vector<std::deque<std::uint64_t>> host_credit_in_;
   std::vector<std::deque<Timed>> host_out_;  // host -> leaf cable
-  std::vector<std::uint64_t> flow_seq_;
 
   // Statistics.
   sim::Histogram delay_hist_{256.0};
   sim::ThroughputMeter meter_;
-  sim::ReorderDetector reorder_;
   std::uint64_t max_host_backlog_ = 0;
   std::uint64_t overflows_ = 0;
 

@@ -42,6 +42,10 @@ MultiPlaneSim::MultiPlaneSim(
         mc.allow_stranded || cfg_.fault_plan.has_permanent_fault();
     mc.expect_drain = cfg_.drain_max_slots > 0;
     monitor_.configure(mc);
+    // Sequences are global per (src, dst): one flow stripes all planes.
+    monitor_.preset_flows(static_cast<std::size_t>(cfg_.ports) *
+                              static_cast<std::size_t>(cfg_.ports),
+                          static_cast<std::size_t>(cfg_.ports));
   }
 
   planes_.resize(static_cast<std::size_t>(cfg_.planes));
@@ -59,9 +63,6 @@ MultiPlaneSim::MultiPlaneSim(
       plane.voqs.emplace_back(in, cfg_.ports);
     plane.egress.resize(static_cast<std::size_t>(cfg_.ports));
   }
-  flow_seq_.assign(static_cast<std::size_t>(cfg_.ports) *
-                       static_cast<std::size_t>(cfg_.ports),
-                   0);
   next_seq_.assign(static_cast<std::size_t>(cfg_.ports) *
                        static_cast<std::size_t>(cfg_.ports),
                    0);
@@ -179,11 +180,10 @@ void MultiPlaneSim::deliver_in_order(int dst, std::uint64_t t,
       park[kept++] = parked_cell;
       continue;
     }
-    post_reseq_.deliver(src, dst, seq);
-    monitor_.delivered(static_cast<std::uint64_t>(src) *
-                                  static_cast<std::uint64_t>(cfg_.ports) +
-                              static_cast<std::uint64_t>(dst),
-                          seq);
+    monitor_.deliver(static_cast<std::uint64_t>(src) *
+                             static_cast<std::uint64_t>(cfg_.ports) +
+                         static_cast<std::uint64_t>(dst),
+                     seq);
     if (measuring) {
       delay_hist_.add(
           static_cast<double>(t - parked_cell.cell.arrival_slot) + 1.0);
@@ -226,10 +226,9 @@ void MultiPlaneSim::step(std::uint64_t t, bool measuring,
         sw::Cell cell;
         cell.src = in;
         cell.dst = a.dst;
-        cell.seq = flow_seq_[flow]++;
+        cell.seq = monitor_.send(flow);
         cell.arrival_slot = t;
         ++offered_;
-        monitor_.offered(static_cast<std::uint64_t>(flow));
         plane.voqs[static_cast<std::size_t>(in)].push(cell);
         plane.sched->request(in, a.dst);
       }
@@ -329,7 +328,7 @@ MultiPlaneResult MultiPlaneSim::finalize() {
   r.mean_resequencing_wait = reseq_wait_.mean();
   r.max_resequencer_depth = max_park_depth_;
   r.cross_plane_ooo = cross_plane_ooo_;
-  r.post_resequencer_ooo = post_reseq_.out_of_order();
+  r.post_resequencer_ooo = monitor_.ledger().out_of_order();
   r.offered = offered_;
   r.resteered = resteered_;
   r.faults_injected = faults_injected_;
@@ -339,7 +338,7 @@ MultiPlaneResult MultiPlaneSim::finalize() {
   r.max_recovery_slots = recovery_.max_recovery_slots();
   r.drained_slots = drained_slots_;
   monitor_.finish(now_, backlog());
-  const auto inv = monitor_.exactly_once().report();
+  const auto inv = monitor_.ledger().report();
   r.exactly_once_in_order = inv.exactly_once_in_order();
   r.duplicates = inv.duplicates;
   r.missing = inv.missing;
@@ -351,7 +350,7 @@ MultiPlaneResult MultiPlaneSim::finalize() {
 template <class Ar>
 void MultiPlaneSim::io_core(Ar& a) {
   ckpt::field(a, now_);
-  ckpt::field(a, flow_seq_);
+  monitor_.io_flow_seq(a);
   io_resequencers(a);
   ckpt::field(a, plane_down_);
   ckpt::field(a, offered_);
@@ -453,7 +452,7 @@ void MultiPlaneSim::io_stats(Ar& a) {
   ckpt::field(a, delay_hist_);
   ckpt::field(a, reseq_wait_);
   ckpt::field(a, meter_);
-  ckpt::field(a, post_reseq_);
+  monitor_.io_order(a);
   ckpt::field(a, cross_plane_ooo_);
   ckpt::field(a, max_park_depth_);
   ckpt::field(a, monitor_);

@@ -145,7 +145,6 @@ class MultiPlaneSim {
   std::vector<std::unique_ptr<sim::TrafficGen>> traffic_;
   std::vector<Plane> planes_;
   std::uint64_t now_ = 0;  // next slot advance_slot() will run
-  std::vector<std::uint64_t> flow_seq_;      // global per (src, dst)
   // Resequencers, one per egress port. next_seq_[dst * ports + src] is
   // flow (src, dst)'s next in-order sequence (FabricSim's [dst][src]
   // layout, flattened); parked_[dst] holds the cells waiting at egress
@@ -157,7 +156,6 @@ class MultiPlaneSim {
   sim::Histogram delay_hist_{256.0};
   sim::MeanVar reseq_wait_;
   sim::ThroughputMeter meter_;
-  sim::ReorderDetector post_reseq_;
   std::uint64_t cross_plane_ooo_ = 0;
   int max_park_depth_ = 0;
 

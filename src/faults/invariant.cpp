@@ -4,39 +4,6 @@
 
 namespace osmosis::faults {
 
-void ExactlyOnceChecker::delivered(std::uint64_t flow, std::uint64_t seq) {
-  FlowState& f = flows_[flow];
-  ++f.delivered;
-  if (seq == f.next_expected) {
-    ++f.next_expected;
-  } else if (seq < f.next_expected) {
-    ++f.duplicates;
-  } else {
-    // A gap: cells next_expected..seq-1 were skipped over. They may
-    // still arrive (counting then as duplicates-of-position is wrong,
-    // so gaps are charged as reorderings here and the gap cells as
-    // missing only if they never show up — report() reconciles totals).
-    ++f.reordered;
-    f.next_expected = seq + 1;
-  }
-}
-
-ExactlyOnceChecker::Report ExactlyOnceChecker::report() const {
-  Report r;
-  for (const auto& [flow, f] : flows_) {
-    r.offered += f.offered;
-    r.delivered += f.delivered;
-    r.duplicates += f.duplicates;
-    r.reordered += f.reordered;
-    // Per flow, every offered cell not accounted for by a delivery is
-    // missing. Duplicates over-count deliveries, so net them out.
-    const std::uint64_t unique =
-        f.delivered >= f.duplicates ? f.delivered - f.duplicates : 0;
-    if (f.offered > unique) r.missing += f.offered - unique;
-  }
-  return r;
-}
-
 void RecoveryTracker::on_fault(std::uint64_t t, const std::string& key,
                                std::uint64_t baseline_backlog) {
   (void)t;

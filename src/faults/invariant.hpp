@@ -1,16 +1,10 @@
 #pragma once
-// End-of-run correctness accounting for degraded operation. Two
-// independent trackers:
-//
-//  * ExactlyOnceChecker — per-flow sequence audit. Every offered cell
-//    must be delivered exactly once and in order (Table 1) even across
-//    mid-run faults and retransmissions; anything else is quantified
-//    (duplicates, reorderings, cells still missing at end of run).
-//
-//  * RecoveryTracker — time-to-recover measurement. A fault snapshots
-//    the backlog at onset; after the repair, the system counts as
-//    recovered on the first slot the backlog returns to that baseline,
-//    and the elapsed repair->recovered time feeds the RunReport.
+// Recovery accounting for degraded operation. RecoveryTracker measures
+// time to recover: a fault snapshots the backlog at onset; after the
+// repair, the system counts as recovered on the first slot the backlog
+// returns to that baseline, and the elapsed repair->recovered time
+// feeds the RunReport. (The per-flow exactly-once audit is
+// sim::FlowLedger, owned by chaos::InvariantMonitor.)
 
 #include <cstdint>
 #include <string>
@@ -21,57 +15,6 @@
 #include "src/sim/stats.hpp"
 
 namespace osmosis::faults {
-
-class ExactlyOnceChecker {
- public:
-  /// A cell of `flow` was offered (entered the system). Sequence
-  /// numbers per flow are implicit: 0, 1, 2, ... in offer order.
-  void offered(std::uint64_t flow) { ++flows_[flow].offered; }
-
-  /// A cell of `flow` with sequence `seq` left the system.
-  void delivered(std::uint64_t flow, std::uint64_t seq);
-
-  struct Report {
-    std::uint64_t offered = 0;
-    std::uint64_t delivered = 0;
-    std::uint64_t duplicates = 0;  // seq seen again after delivery
-    std::uint64_t reordered = 0;   // seq arrived ahead of an earlier gap
-    std::uint64_t missing = 0;     // offered but never delivered
-
-    /// The Table 1 verdict: every offered cell delivered exactly once,
-    /// in per-flow order, none lost.
-    bool exactly_once_in_order() const {
-      return duplicates == 0 && reordered == 0 && missing == 0 &&
-             delivered == offered;
-    }
-  };
-
-  Report report() const;
-
-  template <class Ar>
-  void io_state(Ar& a) {
-    ckpt::field(a, flows_);
-  }
-
- private:
-  struct FlowState {
-    std::uint64_t offered = 0;
-    std::uint64_t delivered = 0;
-    std::uint64_t next_expected = 0;
-    std::uint64_t duplicates = 0;
-    std::uint64_t reordered = 0;
-
-    template <class Ar>
-    void io_state(Ar& a) {
-      ckpt::field(a, offered);
-      ckpt::field(a, delivered);
-      ckpt::field(a, next_expected);
-      ckpt::field(a, duplicates);
-      ckpt::field(a, reordered);
-    }
-  };
-  std::unordered_map<std::uint64_t, FlowState> flows_;
-};
 
 class RecoveryTracker {
  public:

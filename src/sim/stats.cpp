@@ -115,18 +115,4 @@ double Histogram::quantile(double q) const {
   return mv_.max();
 }
 
-// ---- ReorderDetector -------------------------------------------------------
-
-bool ReorderDetector::deliver(int src, int dst, std::uint64_t seq) {
-  ++total_;
-  auto [it, inserted] = last_seen_.try_emplace({src, dst}, seq);
-  if (inserted) return false;
-  const bool ooo = seq < it->second;
-  if (ooo)
-    ++out_of_order_;
-  else
-    it->second = seq;
-  return ooo;
-}
-
 }  // namespace osmosis::sim

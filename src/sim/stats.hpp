@@ -1,12 +1,11 @@
 #pragma once
 // Statistics collection for the simulation experiments: running
-// mean/variance, latency histograms with percentiles, throughput
-// counters, and an in-order-delivery checker (the paper's Table 1
-// requires packet ordering maintained between in/output pairs).
+// mean/variance, latency histograms with percentiles and throughput
+// counters. Per-flow delivery order is audited by sim::FlowLedger
+// (src/sim/flow_ledger.hpp).
 
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -133,35 +132,6 @@ class ThroughputMeter {
  private:
   double delivered_ = 0.0;
   double capacity_ = 0.0;
-};
-
-/// Detects out-of-order delivery per (source, destination) flow using
-/// monotonically increasing per-flow sequence numbers.
-class ReorderDetector {
- public:
-  /// Records delivery of sequence number `seq` on flow (src, dst).
-  /// Returns true if this delivery was out of order.
-  bool deliver(int src, int dst, std::uint64_t seq);
-
-  std::uint64_t out_of_order() const { return out_of_order_; }
-  std::uint64_t total() const { return total_; }
-  double reorder_fraction() const {
-    return total_ ? static_cast<double>(out_of_order_) /
-                        static_cast<double>(total_)
-                  : 0.0;
-  }
-
-  template <class Ar>
-  void io_state(Ar& a) {
-    ckpt::field(a, last_seen_);
-    ckpt::field(a, out_of_order_);
-    ckpt::field(a, total_);
-  }
-
- private:
-  std::map<std::pair<int, int>, std::uint64_t> last_seen_;
-  std::uint64_t out_of_order_ = 0;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace osmosis::sim

@@ -55,15 +55,16 @@ EventSwitchSim::EventSwitchSim(EventSwitchConfig cfg,
         mc.allow_stranded || cfg_.fault_plan.has_permanent_fault();
     mc.expect_drain = cfg_.drain_max_cycles > 0;
     monitor_.configure(mc);
+    // One sequence stream per (input, output, traffic class).
+    monitor_.preset_flows(static_cast<std::size_t>(cfg_.ports) *
+                              static_cast<std::size_t>(cfg_.ports) * 2,
+                          static_cast<std::size_t>(cfg_.ports) * 2);
   }
   voqs_.reserve(static_cast<std::size_t>(cfg_.ports));
   for (int in = 0; in < cfg_.ports; ++in) voqs_.emplace_back(in, cfg_.ports);
   egress_.resize(static_cast<std::size_t>(cfg_.ports));
   request_times_ = FifoPool<double>(static_cast<std::size_t>(cfg_.ports) *
                                     static_cast<std::size_t>(cfg_.ports));
-  flow_seq_.assign(static_cast<std::size_t>(cfg_.ports) *
-                       static_cast<std::size_t>(cfg_.ports) * 2,
-                   0);
   delivered_per_port_.assign(static_cast<std::size_t>(cfg_.ports), 0);
   telem_.series().set_channels({"backlog", "voq_backlog", "voq_max",
                                 "egress_backlog", "in_flight", "retry_pending",
@@ -372,13 +373,12 @@ void EventSwitchSim::on_cycle() {
     Cell cell;
     cell.src = in;
     cell.dst = a.dst;
-    cell.seq = flow_seq_[flow]++;
+    cell.seq = monitor_.send(flow);
     cell.arrival_slot = cycle_;
     cell.cls = a.cls;
     cell.trace = telem_.begin_cell(in, a.dst, now);
     telem_.mark(cell.trace, telemetry::Stage::kRequest, now + ctrl_ns(in));
     ++offered_;
-    monitor_.offered(static_cast<std::uint64_t>(flow));
     voqs_[static_cast<std::size_t>(in)].push(cell);
     Ev req;
     req.time_ns = now + ctrl_ns(in);
@@ -421,8 +421,7 @@ void EventSwitchSim::on_cycle() {
     const Cell cell = q.front();
     q.pop_front();
     const int cls_bit = cell.cls == sim::TrafficClass::kControl ? 0 : 1;
-    reorder_.deliver(cell.src, cell.dst * 2 + cls_bit, cell.seq);
-    monitor_.delivered(
+    monitor_.deliver(
         (static_cast<std::uint64_t>(cell.src) *
              static_cast<std::uint64_t>(cfg_.ports) +
          static_cast<std::uint64_t>(cell.dst)) *
@@ -561,7 +560,7 @@ EventSwitchResult EventSwitchSim::finalize() {
   r.mean_delay_cycles = delay_ns_.mean() / cfg_.cell_ns;
   r.mean_grant_latency_ns = grant_ns_.mean();
   r.receiver_conflicts = receiver_conflicts_;
-  r.out_of_order = reorder_.out_of_order();
+  r.out_of_order = monitor_.ledger().out_of_order();
   r.offered = offered_;
   r.grant_corruptions = grant_corruptions_;
   r.retransmissions = retransmissions_;
@@ -572,7 +571,7 @@ EventSwitchResult EventSwitchSim::finalize() {
   r.max_recovery_cycles = recovery_.max_recovery_slots();
   r.drained_cycles = drained_cycles_;
   monitor_.finish(cycle_, backlog() - retry_pending_);
-  const auto inv = monitor_.exactly_once().report();
+  const auto inv = monitor_.ledger().report();
   r.exactly_once_in_order = inv.exactly_once_in_order();
   r.duplicates = inv.duplicates;
   r.missing = inv.missing;
@@ -607,7 +606,7 @@ void EventSwitchSim::io_core(Ar& a) {
   ckpt::field(a, drained_cycles_);
   ckpt::field(a, in_flight_);
   ckpt::field(a, retry_pending_);
-  ckpt::field(a, flow_seq_);
+  monitor_.io_flow_seq(a);
   ckpt::field(a, request_times_);
   ckpt::field(a, egress_);
   ckpt::field(a, slot_bookings_);
@@ -635,7 +634,7 @@ void EventSwitchSim::io_stats(Ar& a) {
   ckpt::field(a, delay_ns_);
   ckpt::field(a, grant_ns_);
   ckpt::field(a, meter_);
-  ckpt::field(a, reorder_);
+  monitor_.io_order(a);
   ckpt::field(a, monitor_);
   ckpt::field(a, recovery_);
   ckpt::field(a, health_);

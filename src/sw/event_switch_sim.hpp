@@ -212,7 +212,6 @@ class EventSwitchSim {
   std::vector<VoqBank> voqs_;
   std::vector<std::deque<Cell>> egress_;
   FifoPool<double> request_times_;  // per (in,out) FIFO, in * ports + out
-  std::vector<std::uint64_t> flow_seq_;
   // Receiver bookings per (output, cell-cycle index).
   std::map<std::pair<int, std::uint64_t>, int> slot_bookings_;
   std::uint64_t cycle_ = 0;
@@ -220,7 +219,6 @@ class EventSwitchSim {
   sim::Histogram delay_ns_{8192.0, 1.1};
   sim::Histogram grant_ns_{1024.0, 1.1};
   sim::ThroughputMeter meter_;
-  sim::ReorderDetector reorder_;
   std::uint64_t receiver_conflicts_ = 0;
 
   // ---- runtime fault injection & recovery -------------------------------

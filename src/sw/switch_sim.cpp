@@ -69,14 +69,15 @@ SwitchSim::SwitchSim(SwitchSimConfig cfg,
                         !cfg_.failed_fibers.empty();
     mc.expect_drain = cfg_.drain_max_slots > 0;
     monitor_.configure(mc);
+    // One sequence stream per (input, output, traffic class); the order
+    // view keys it (input, output * 2 + class).
+    monitor_.preset_flows(static_cast<std::size_t>(cfg_.ports) *
+                              static_cast<std::size_t>(cfg_.ports) * 2,
+                          static_cast<std::size_t>(cfg_.ports) * 2);
   }
   voqs_.reserve(static_cast<std::size_t>(cfg_.ports));
   for (int i = 0; i < cfg_.ports; ++i) voqs_.emplace_back(i, cfg_.ports);
   egress_.resize(static_cast<std::size_t>(cfg_.ports));
-  // One sequence stream per (input, output, traffic class).
-  flow_seq_.assign(static_cast<std::size_t>(cfg_.ports) *
-                       static_cast<std::size_t>(cfg_.ports) * 2,
-                   0);
   if (cfg_.measure_grant_latency)
     request_times_ = FifoPool<std::uint64_t>(
         static_cast<std::size_t>(cfg_.ports) *
@@ -331,7 +332,7 @@ void SwitchSim::step(std::uint64_t t, bool measuring, bool inject_traffic) {
       Cell cell;
       cell.src = in;
       cell.dst = a.dst;
-      cell.seq = flow_seq_[flow]++;
+      cell.seq = monitor_.send(flow);
       cell.arrival_slot = t;
       cell.cls = a.cls;
       cell.tag = a.tag;
@@ -341,7 +342,6 @@ void SwitchSim::step(std::uint64_t t, bool measuring, bool inject_traffic) {
                                               cfg_.request_delay_slots)));
       ++enqueued_per_port_[static_cast<std::size_t>(in)];
       ++offered_;
-      monitor_.offered(static_cast<std::uint64_t>(flow));
       voqs_[static_cast<std::size_t>(in)].push(cell);
       request_pipe_.push_back(PendingRequest{
           t + static_cast<std::uint64_t>(cfg_.request_delay_slots), in,
@@ -467,8 +467,7 @@ void SwitchSim::step(std::uint64_t t, bool measuring, bool inject_traffic) {
       // +1: the crossbar transfer itself occupies this cell cycle.
       const double delay = static_cast<double>(t - cell.arrival_slot) + 1.0;
       const int cls_bit = cell.cls == sim::TrafficClass::kControl ? 0 : 1;
-      reorder_.deliver(cell.src, cell.dst * 2 + cls_bit, cell.seq);
-      monitor_.delivered(
+      monitor_.deliver(
           (static_cast<std::uint64_t>(cell.src) *
                static_cast<std::uint64_t>(n) +
            static_cast<std::uint64_t>(cell.dst)) *
@@ -613,7 +612,7 @@ SwitchSimResult SwitchSim::finalize() {
   for (const auto& v : voqs_) r.max_voq_depth = std::max(r.max_voq_depth,
                                                          v.max_depth_seen());
   r.max_egress_depth = max_egress_depth_;
-  r.out_of_order = reorder_.out_of_order();
+  r.out_of_order = monitor_.ledger().out_of_order();
   if (optical_) r.crossbar_reconfigs = optical_->reconfigurations();
   r.offered = offered_;
   r.grant_corruptions = grant_corruptions_;
@@ -627,7 +626,7 @@ SwitchSimResult SwitchSim::finalize() {
                                                   : min_window_thr_;
   r.drained_slots = drained_slots_;
   monitor_.finish(now_, backlog());
-  const auto inv = monitor_.exactly_once().report();
+  const auto inv = monitor_.ledger().report();
   r.exactly_once_in_order = inv.exactly_once_in_order();
   r.duplicates = inv.duplicates;
   r.missing = inv.missing;
@@ -675,7 +674,7 @@ void SwitchSim::io_core(Ar& a) {
   ckpt::field(a, now_);
   ckpt::field(a, window_mark_);
   ckpt::field(a, min_window_thr_);
-  ckpt::field(a, flow_seq_);
+  monitor_.io_flow_seq(a);
   ckpt::field(a, request_pipe_);
   ckpt::field(a, request_times_);
   ckpt::field(a, egress_);
@@ -712,7 +711,7 @@ void SwitchSim::io_stats(Ar& a) {
   ckpt::field(a, data_delay_);
   ckpt::field(a, grant_latency_);
   ckpt::field(a, meter_);
-  ckpt::field(a, reorder_);
+  monitor_.io_order(a);
   ckpt::field(a, monitor_);
   ckpt::field(a, recovery_);
   ckpt::field(a, health_);

@@ -207,7 +207,6 @@ class SwitchSim {
   std::unique_ptr<Scheduler> sched_;
   std::vector<VoqBank> voqs_;
   std::vector<std::deque<Cell>> egress_;       // per output
-  std::vector<std::uint64_t> flow_seq_;        // per (src,dst)
   // Requests in flight on the control path: (deliver_slot, in, out).
   struct PendingRequest {
     std::uint64_t deliver_slot = 0;
@@ -261,7 +260,6 @@ class SwitchSim {
   sim::Histogram data_delay_;
   sim::Histogram grant_latency_;
   sim::ThroughputMeter meter_;
-  sim::ReorderDetector reorder_;
   int max_egress_depth_ = 0;
 
   // telemetry

@@ -100,7 +100,7 @@ TopoSim::TopoSim(TopoSimConfig cfg, std::unique_ptr<sim::TrafficGen> traffic)
   const std::size_t hosts = static_cast<std::size_t>(topo_.hosts);
   host_queue_.resize(hosts);
   host_out_.resize(hosts);
-  flow_seq_.assign(hosts * hosts, 0);
+  monitor_.preset_flows(hosts * hosts, hosts);
   if (wormhole()) {
     host_lane_credits_.assign(hosts * static_cast<std::size_t>(lanes),
                               cfg_.fc.lane_flits);
@@ -224,12 +224,11 @@ void TopoSim::accept_flit(int sw, int in_port, Flit f, std::uint64_t t) {
 }
 
 void TopoSim::deliver(const Flit& f, std::uint64_t t, bool measuring) {
-  reorder_.deliver(f.src, f.dst, f.seq);
   const std::uint64_t flow =
       static_cast<std::uint64_t>(f.src) *
           static_cast<std::uint64_t>(topo_.hosts) +
       static_cast<std::uint64_t>(f.dst);
-  monitor_.delivered(flow, f.seq);
+  monitor_.deliver(flow, f.seq);
   ++delivered_total_;
   if (measuring) {
     delay_hist_.add(static_cast<double>(t - f.inject_slot));
@@ -368,7 +367,7 @@ void TopoSim::step(std::uint64_t t, bool measuring, bool inject) {
       const std::size_t flow = static_cast<std::size_t>(h) *
                                    static_cast<std::size_t>(topo_.hosts) +
                                static_cast<std::size_t>(a.dst);
-      const std::uint64_t seq = flow_seq_[flow]++;
+      const std::uint64_t seq = monitor_.send(flow);
       for (int i = 0; i < F; ++i) {
         Flit f;
         f.src = h;
@@ -380,7 +379,6 @@ void TopoSim::step(std::uint64_t t, bool measuring, bool inject) {
         host_queue_[static_cast<std::size_t>(h)].push_back(f);
       }
       ++injected_total_;
-      monitor_.offered(static_cast<std::uint64_t>(flow));
     }
   }
 
@@ -622,7 +620,7 @@ TopoSimResult TopoSim::finalize() {
   for (std::size_t st = 1; st <= max_stage; ++st)
     r.mean_stage_wait_slots[st - 1] = stage_wait_[st].mean();
   r.buffer_overflows = overflows_;
-  r.out_of_order = reorder_.out_of_order();
+  r.out_of_order = monitor_.ledger().out_of_order();
   r.injected_total = injected_total_;
   r.delivered_total = delivered_total_;
   r.faults_injected = faults_injected_;
@@ -709,7 +707,7 @@ void TopoSim::io_core(Ar& a) {
   ckpt::field(a, host_credit_in_);
   ckpt::field(a, host_lane_credit_in_);
   ckpt::field(a, host_out_);
-  ckpt::field(a, flow_seq_);
+  monitor_.io_flow_seq(a);
   std::uint64_t cursor = next_transition_;
   ckpt::field(a, cursor);
   if constexpr (Ar::kLoading) {
@@ -733,7 +731,7 @@ void TopoSim::io_stats(Ar& a) {
   ckpt::field(a, delay_hist_);
   ckpt::field(a, hops_);
   ckpt::field(a, meter_);
-  ckpt::field(a, reorder_);
+  monitor_.io_order(a);
   ckpt::field(a, stage_wait_);
   ckpt::field(a, monitor_);
 }

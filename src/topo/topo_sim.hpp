@@ -250,7 +250,6 @@ class TopoSim {
   std::vector<std::deque<std::uint64_t>> host_credit_in_;
   std::vector<std::deque<std::pair<std::uint64_t, int>>> host_lane_credit_in_;
   std::vector<std::deque<Timed>> host_out_;
-  std::vector<std::uint64_t> flow_seq_;
 
   // Mid-run fault timeline (expanded from cfg_.fault_plan; sorted).
   struct Transition {
@@ -271,7 +270,6 @@ class TopoSim {
   sim::Histogram delay_hist_{512.0};
   sim::MeanVar hops_;
   sim::ThroughputMeter meter_;
-  sim::ReorderDetector reorder_;
   std::vector<sim::MeanVar> stage_wait_;  // per 1-based stage, index 0 unused
   std::uint64_t overflows_ = 0;
   std::uint64_t injected_total_ = 0;   // packets

@@ -1,6 +1,6 @@
 // Unit tests for the fault-injection layer: FaultPlan builders, the
-// FaultInjector timeline/roll determinism contract, the exactly-once
-// invariant checker, the recovery-time tracker, the management-side
+// FaultInjector timeline/roll determinism contract, the flow ledger's
+// exactly-once audit, the recovery-time tracker, the management-side
 // validators for static failures and fault plans, and the chaos
 // InvariantMonitor (silent under every declared fault kind; every
 // invariant demonstrably fires against a deliberately broken ledger).
@@ -17,6 +17,7 @@
 #include "src/faults/fault_plan.hpp"
 #include "src/faults/invariant.hpp"
 #include "src/mgmt/config_check.hpp"
+#include "src/sim/flow_ledger.hpp"
 
 namespace osmosis {
 namespace {
@@ -145,12 +146,12 @@ TEST(FaultInjector, DifferentSeedsDiverge) {
   EXPECT_GT(differ, 0);
 }
 
-// ---- ExactlyOnceChecker ----------------------------------------------------
+// ---- exactly-once audit (sim::FlowLedger) ---------------------------------
 
 TEST(ExactlyOnce, CleanRunPasses) {
-  faults::ExactlyOnceChecker c;
-  for (int i = 0; i < 5; ++i) c.offered(7);
-  for (int i = 0; i < 5; ++i) c.delivered(7, static_cast<std::uint64_t>(i));
+  sim::FlowLedger c(16, 4);
+  for (int i = 0; i < 5; ++i) c.send(7);
+  for (int i = 0; i < 5; ++i) c.deliver(7, static_cast<std::uint64_t>(i));
   const auto r = c.report();
   EXPECT_TRUE(r.exactly_once_in_order());
   EXPECT_EQ(r.offered, 5u);
@@ -158,22 +159,22 @@ TEST(ExactlyOnce, CleanRunPasses) {
 }
 
 TEST(ExactlyOnce, DetectsDuplicates) {
-  faults::ExactlyOnceChecker c;
-  c.offered(1);
-  c.offered(1);
-  c.delivered(1, 0);
-  c.delivered(1, 0);  // duplicate
-  c.delivered(1, 1);
+  sim::FlowLedger c(16, 4);
+  c.send(1);
+  c.send(1);
+  c.deliver(1, 0);
+  c.deliver(1, 0);  // duplicate
+  c.deliver(1, 1);
   const auto r = c.report();
   EXPECT_FALSE(r.exactly_once_in_order());
   EXPECT_EQ(r.duplicates, 1u);
 }
 
 TEST(ExactlyOnce, DetectsReorderingAndMissing) {
-  faults::ExactlyOnceChecker c;
-  for (int i = 0; i < 3; ++i) c.offered(2);
-  c.delivered(2, 1);  // 0 skipped: reorder, and 0 never arrives
-  c.delivered(2, 2);
+  sim::FlowLedger c(16, 4);
+  for (int i = 0; i < 3; ++i) c.send(2);
+  c.deliver(2, 1);  // 0 skipped: reorder, and 0 never arrives
+  c.deliver(2, 2);
   const auto r = c.report();
   EXPECT_FALSE(r.exactly_once_in_order());
   EXPECT_GE(r.reordered, 1u);
@@ -181,11 +182,11 @@ TEST(ExactlyOnce, DetectsReorderingAndMissing) {
 }
 
 TEST(ExactlyOnce, TracksFlowsIndependently) {
-  faults::ExactlyOnceChecker c;
-  c.offered(10);
-  c.offered(11);
-  c.delivered(11, 0);
-  c.delivered(10, 0);  // cross-flow interleave is fine
+  sim::FlowLedger c(16, 4);
+  c.send(10);
+  c.send(11);
+  c.deliver(11, 0);
+  c.deliver(10, 0);  // cross-flow interleave is fine
   EXPECT_TRUE(c.report().exactly_once_in_order());
 }
 
@@ -459,8 +460,8 @@ std::string first_token(const chaos::InvariantMonitor& m) {
 
 TEST(ChaosMonitorFires, ConservationOnLostCell) {
   chaos::InvariantMonitor m;
-  for (int i = 0; i < 5; ++i) m.offered(0);
-  m.delivered(0, 0);
+  for (int i = 0; i < 5; ++i) m.send(0);
+  m.deliver(0, 0);
   // 5 offered, 1 delivered, but only 3 accounted for in queues.
   m.end_slot({/*slot=*/1, /*queued=*/3, /*active_faults=*/0, 0});
   ASSERT_FALSE(m.ok());
@@ -472,7 +473,7 @@ TEST(ChaosMonitorFires, DeadlockOnStalledBacklog) {
   chaos::MonitorConfig cfg;
   cfg.deadlock_slots = 16;
   chaos::InvariantMonitor m(cfg);
-  m.offered(0);
+  m.send(0);
   for (std::uint64_t t = 0; t < 40; ++t)
     m.end_slot({t, /*queued=*/1, /*active_faults=*/0, 0});
   ASSERT_FALSE(m.ok());
@@ -483,7 +484,7 @@ TEST(ChaosMonitorFires, DeadlockSuppressedByOpenFaultOrRetries) {
   chaos::MonitorConfig cfg;
   cfg.deadlock_slots = 16;
   chaos::InvariantMonitor m(cfg);
-  m.offered(0);
+  m.send(0);
   for (std::uint64_t t = 0; t < 40; ++t)
     m.end_slot({t, 1, /*active_faults=*/1, 0});  // fault window open
   for (std::uint64_t t = 40; t < 80; ++t)
@@ -513,11 +514,11 @@ TEST(ChaosMonitorFires, CreditLedgerMismatchAndNegativePool) {
 
 TEST(ChaosMonitorFires, DuplicateDeliveryAtFinish) {
   chaos::InvariantMonitor m;
-  m.offered(1);
-  m.offered(1);
-  m.delivered(1, 0);
-  m.delivered(1, 0);  // duplicate completion
-  m.delivered(1, 1);
+  m.send(1);
+  m.send(1);
+  m.deliver(1, 0);
+  m.deliver(1, 0);  // duplicate completion
+  m.deliver(1, 1);
   m.finish(10, /*residual_backlog=*/0);
   ASSERT_FALSE(m.ok());
   // The duplicate also skews the delivered count, so the residual
@@ -532,9 +533,9 @@ TEST(ChaosMonitorFires, ReorderedDeliveryAtFinish) {
   chaos::MonitorConfig cfg;
   cfg.expect_drain = true;
   chaos::InvariantMonitor m(cfg);
-  for (int i = 0; i < 2; ++i) m.offered(2);
-  m.delivered(2, 1);  // out of order
-  m.delivered(2, 0);
+  for (int i = 0; i < 2; ++i) m.send(2);
+  m.deliver(2, 1);  // out of order
+  m.deliver(2, 0);
   m.finish(10, 0);
   ASSERT_FALSE(m.ok());
   bool reordered = false;
@@ -547,8 +548,8 @@ TEST(ChaosMonitorFires, MissingAndStrandedAtFinish) {
   chaos::MonitorConfig cfg;
   cfg.expect_drain = true;  // run claims to have fully drained
   chaos::InvariantMonitor m(cfg);
-  for (int i = 0; i < 3; ++i) m.offered(4);
-  m.delivered(4, 0);
+  for (int i = 0; i < 3; ++i) m.send(4);
+  m.deliver(4, 0);
   m.finish(20, /*residual_backlog=*/2);  // 2 stranded, no permanent fault
   ASSERT_FALSE(m.ok());
   bool stranded = false, missing = false;
@@ -565,8 +566,8 @@ TEST(ChaosMonitorFires, AllowStrandedAcceptsPermanentFaultResidue) {
   cfg.expect_drain = true;
   cfg.allow_stranded = true;  // plan declared a permanent fault
   chaos::InvariantMonitor m(cfg);
-  for (int i = 0; i < 3; ++i) m.offered(4);
-  m.delivered(4, 0);
+  for (int i = 0; i < 3; ++i) m.send(4);
+  m.deliver(4, 0);
   m.finish(20, 2);  // same residue as above, now legitimate
   EXPECT_TRUE(m.ok()) << m.first_violation();
 }
@@ -575,7 +576,7 @@ TEST(ChaosMonitorFires, FinishIsIdempotent) {
   chaos::MonitorConfig cfg;
   cfg.expect_drain = true;
   chaos::InvariantMonitor m(cfg);
-  m.offered(0);
+  m.send(0);
   m.finish(5, 1);  // stranded: one violation
   const std::uint64_t first = m.violations();
   m.finish(5, 1);  // double finalize must not double-count
@@ -588,15 +589,15 @@ TEST(ChaosMonitorFires, DefectOnlyCorruptsInsideFaultWindows) {
   cfg.defect_period = 1;  // every opportunity
   chaos::InvariantMonitor m(cfg);
   // No fault open: the armed defect must stay dormant.
-  m.offered(0);
+  m.send(0);
   m.end_slot({0, 1, /*active_faults=*/0, 0});
-  m.delivered(0, 0);
+  m.deliver(0, 0);
   m.end_slot({1, 0, 0, 0});
   EXPECT_TRUE(m.ok()) << m.first_violation();
   // Fault window opens: the dropped delivery now breaks conservation.
-  m.offered(0);
+  m.send(0);
   m.end_slot({2, 1, /*active_faults=*/1, 0});
-  m.delivered(0, 1);  // silently swallowed by the defect
+  m.deliver(0, 1);  // silently swallowed by the defect
   m.end_slot({3, 0, 1, 0});
   ASSERT_FALSE(m.ok());
   EXPECT_EQ(first_token(m), "conservation");

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <vector>
 
+#include "src/sim/flow_ledger.hpp"
 #include "src/sim/rng.hpp"
 #include "src/sim/stats.hpp"
 
@@ -200,29 +201,41 @@ TEST(ThroughputMeter, EmptyIsZero) {
   EXPECT_DOUBLE_EQ(m.utilization(), 0.0);
 }
 
+// The order view of FlowLedger, which replaced the per-pair detector:
+// 4x4 ports, flow (src, dst) = src * 4 + dst.
+constexpr std::uint64_t pair_flow(int src, int dst) {
+  return static_cast<std::uint64_t>(src) * 4 + static_cast<std::uint64_t>(dst);
+}
+
 TEST(ReorderDetector, InOrderFlows) {
-  ReorderDetector d;
+  FlowLedger d(16, 4);
   for (std::uint64_t s = 0; s < 100; ++s) {
-    EXPECT_FALSE(d.deliver(0, 1, s));
-    EXPECT_FALSE(d.deliver(2, 3, s));
+    EXPECT_EQ(d.send(pair_flow(0, 1)), s);
+    EXPECT_EQ(d.send(pair_flow(2, 3)), s);
+  }
+  for (std::uint64_t s = 0; s < 100; ++s) {
+    EXPECT_FALSE(d.deliver(pair_flow(0, 1), s));
+    EXPECT_FALSE(d.deliver(pair_flow(2, 3), s));
   }
   EXPECT_EQ(d.out_of_order(), 0u);
-  EXPECT_EQ(d.total(), 200u);
+  EXPECT_EQ(d.delivered(), 200u);
+  EXPECT_EQ(d.side_flows(), 0u);  // in-order flows stay dense
 }
 
 TEST(ReorderDetector, DetectsReordering) {
-  ReorderDetector d;
-  d.deliver(0, 0, 0);
-  d.deliver(0, 0, 2);
-  EXPECT_TRUE(d.deliver(0, 0, 1));  // late
+  FlowLedger d(16, 4);
+  for (int i = 0; i < 3; ++i) d.send(pair_flow(0, 0));
+  d.deliver(pair_flow(0, 0), 0);
+  d.deliver(pair_flow(0, 0), 2);
+  EXPECT_TRUE(d.deliver(pair_flow(0, 0), 1));  // late
   EXPECT_EQ(d.out_of_order(), 1u);
   EXPECT_NEAR(d.reorder_fraction(), 1.0 / 3.0, 1e-12);
 }
 
 TEST(ReorderDetector, FlowsAreIndependent) {
-  ReorderDetector d;
-  d.deliver(0, 0, 5);
-  EXPECT_FALSE(d.deliver(0, 1, 0));  // different flow, fresh sequence
+  FlowLedger d(16, 4);
+  d.deliver(pair_flow(0, 0), 5);
+  EXPECT_FALSE(d.deliver(pair_flow(0, 1), 0));  // different flow, fresh sequence
 }
 
 // ---- Histogram::merge (exact shard aggregation for the campaign runner)
