@@ -8,8 +8,8 @@
 
 #include <iostream>
 
-#include "src/fabric/fabric_sim.hpp"
 #include "src/fabric/placement.hpp"
+#include "src/topo/topo_sim.hpp"
 #include "src/util/cli.hpp"
 #include "src/util/table.hpp"
 
@@ -19,8 +19,8 @@ int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   const auto slots = static_cast<std::uint64_t>(cli.get_int("slots", 15'000));
 
-  fabric::FabricSimConfig base;
-  base.radix = 8;                // 32 hosts, 8 leaves + 4 spines
+  // 32 hosts, 8 leaves + 4 spines.
+  topo::TopoSimConfig base = topo::leaf_spine_config(8);
   base.trunk_cable_slots = 6;    // FC RTT = 12 cell cycles
   base.measure_slots = slots;
 
@@ -37,10 +37,11 @@ int main(int argc, char** argv) {
   for (int buf : {2, 4, 8, 12, 16, 24, 32}) {
     auto cfg = base;
     cfg.buffer_cells = buf;
-    const auto r = fabric::run_fabric_uniform(cfg, 0.9, 0x34);
+    const auto r = topo::run_topo_uniform(cfg, 0.9, 0x34);
+    // Stage 1 is the leaves, stage 2 the spines.
     t.add_row({static_cast<long long>(buf), r.throughput, r.mean_delay_slots,
-               static_cast<long long>(r.max_leaf_input_occupancy),
-               static_cast<long long>(r.max_spine_input_occupancy),
+               static_cast<long long>(r.max_occupancy_per_stage[0]),
+               static_cast<long long>(r.max_occupancy_per_stage[1]),
                static_cast<long long>(r.buffer_overflows),
                static_cast<long long>(r.out_of_order)});
   }
@@ -58,13 +59,13 @@ int main(int argc, char** argv) {
   for (double load : {0.3, 0.6, 0.9}) {
     auto cfg = base;
     cfg.buffer_cells = 16;
-    const int hosts = cfg.radix * cfg.radix / 2;
-    fabric::FabricSim sim(cfg, sim::make_hotspot(hosts, load, 5, 0.5, 0x43));
+    topo::TopoSim sim(cfg,
+                      sim::make_hotspot(cfg.hosts, load, 5, 0.5, 0x43));
     const auto r = sim.run();
     h.add_row({load, r.throughput,
                static_cast<long long>(r.buffer_overflows),
                static_cast<long long>(r.out_of_order),
-               static_cast<long long>(r.max_leaf_input_occupancy)});
+               static_cast<long long>(r.max_occupancy_per_stage[0])});
   }
   h.print(std::cout);
   std::cout

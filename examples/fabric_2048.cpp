@@ -10,9 +10,9 @@
 #include <iostream>
 
 #include "src/core/osmosis_system.hpp"
-#include "src/fabric/fabric_sim.hpp"
 #include "src/fabric/placement.hpp"
 #include "src/power/power_model.hpp"
+#include "src/topo/topo_sim.hpp"
 #include "src/util/cli.hpp"
 #include "src/util/units.hpp"
 
@@ -49,8 +49,8 @@ int main(int argc, char** argv) {
             << " ns trunks: " << buffer << " cells\n";
 
   // ---- scaled-down cell-accurate simulation --------------------------------
-  fabric::FabricSimConfig cfg;
-  cfg.radix = static_cast<int>(cli.get_int("radix", 16));
+  const int radix = static_cast<int>(cli.get_int("radix", 16));
+  topo::TopoSimConfig cfg = topo::leaf_spine_config(radix);
   cfg.trunk_cable_slots = 5;  // ~ trunk_ns / cycle, scaled down
   cfg.buffer_cells = fabric::buffer_cells_for_rtt(
       2.0 * cfg.trunk_cable_slots, 1.0, 4);
@@ -58,18 +58,17 @@ int main(int argc, char** argv) {
   const double load = cli.get_double("load", 0.8);
 
   std::cout << "\n=== scaled-down cell-accurate simulation ===\n"
-            << "radix " << cfg.radix << " => " << cfg.radix * cfg.radix / 2
-            << " hosts, trunk " << cfg.trunk_cable_slots
-            << " cycles, buffers " << cfg.buffer_cells << " cells, load "
-            << load << "\n";
-  const auto r = fabric::run_fabric_uniform(cfg, load, 2048);
+            << "radix " << radix << " => " << cfg.hosts << " hosts, trunk "
+            << cfg.trunk_cable_slots << " cycles, buffers " << cfg.buffer_cells
+            << " cells, load " << load << "\n";
+  const auto r = topo::run_topo_uniform(cfg, load, 2048);
   std::cout << "  throughput       " << r.throughput << " cells/slot/host\n"
             << "  mean delay       " << r.mean_delay_slots << " cycles ("
             << r.mean_delay_slots * sys.config().cell.cycle_ns() << " ns at "
             << "demonstrator cycle time)\n"
             << "  p99 delay        " << r.p99_delay_slots << " cycles\n"
-            << "  max buffer use   leaf " << r.max_leaf_input_occupancy
-            << " / spine " << r.max_spine_input_occupancy << " of "
+            << "  max buffer use   leaf " << r.max_occupancy_per_stage[0]
+            << " / spine " << r.max_occupancy_per_stage[1] << " of "
             << cfg.buffer_cells << " cells\n"
             << "  overflows        " << r.buffer_overflows
             << " (lossless => 0)\n"

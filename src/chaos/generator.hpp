@@ -32,7 +32,7 @@ namespace osmosis::chaos {
 enum class TrialSim : std::uint8_t {
   kSwitch = 0,       // sw::SwitchSim, slot-accurate single stage
   kEventSwitch = 1,  // sw::EventSwitchSim, event-driven ns timeline
-  kFabric = 2,       // fabric::FabricSim, two-stage leaf/spine + credits
+  kFabric = 2,       // topo::TopoSim leaf-spine preset, credits
   kMultiPlane = 3,   // fabric::MultiPlaneSim, striped planes + resequencer
   kTopo = 4,         // topo::TopoSim, topology x flow-control zoo
 };

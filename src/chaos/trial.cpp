@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "src/exec/campaign.hpp"
-#include "src/fabric/fabric_sim.hpp"
 #include "src/fabric/multiplane.hpp"
 #include "src/sim/traffic.hpp"
 #include "src/sw/event_switch_sim.hpp"
@@ -124,8 +123,8 @@ TrialResult run_trial(const TrialSpec& spec) {
       return from_monitor(sim.monitor());
     }
     case TrialSim::kFabric: {
-      fabric::FabricSimConfig c;
-      c.radix = spec.ports;
+      // The leaf-spine preset: the ports axis is the switch radix.
+      topo::TopoSimConfig c = topo::leaf_spine_config(spec.ports);
       c.scheduler = spec.scheduler;
       c.warmup_slots = spec.warmup_slots;
       c.measure_slots = spec.measure_slots;
@@ -133,9 +132,8 @@ TrialResult run_trial(const TrialSpec& spec) {
       c.fault_plan = spec.plan;
       c.monitor = monitor_config(spec);
       c.adaptive_routing = spec.adaptive_routing;
-      c.admission.enabled = spec.admission;
-      fabric::FabricSim sim(c,
-                            make_traffic(spec, spec.sources(), traffic_seed));
+      c.admission = spec.admission;
+      topo::TopoSim sim(c, make_traffic(spec, spec.sources(), traffic_seed));
       sim.run();
       return from_monitor(sim.monitor());
     }

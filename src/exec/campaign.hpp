@@ -28,7 +28,7 @@ namespace osmosis::exec {
 enum class SimKind : std::uint8_t {
   kSwitch,       // sw::SwitchSim — slot-accurate single-stage switch
   kEventSwitch,  // sw::EventSwitchSim — event-driven, ns time base
-  kFabric,       // fabric::FabricSim — two-stage leaf/spine fabric
+  kFabric,       // topo::TopoSim leaf-spine preset (ports = radix)
   kServe,        // api::ServeSim — open-loop serving over the switch
   kTopo,         // topo::TopoSim — topology x flow-control zoo
 };

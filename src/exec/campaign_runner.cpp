@@ -10,7 +10,6 @@
 
 #include "src/api/serve_sim.hpp"
 #include "src/exec/thread_pool.hpp"
-#include "src/fabric/fabric_sim.hpp"
 #include "src/prof/profiler.hpp"
 #include "src/sim/traffic.hpp"
 #include "src/sw/event_switch_sim.hpp"
@@ -160,72 +159,6 @@ JobResult EventSwitchJobDriver::finalize() {
   return out;
 }
 
-class FabricJobDriver final : public JobDriver {
- public:
-  explicit FabricJobDriver(const JobSpec& j) {
-    fabric::FabricSimConfig cfg;
-    cfg.radix = j.ports;
-    cfg.scheduler = j.scheduler;
-    cfg.scheduler_iterations = j.iterations;
-    cfg.warmup_slots = j.warmup_slots;
-    cfg.measure_slots = j.measure_slots;
-    cfg.telemetry.enabled = true;
-    cfg.telemetry.sample_every = 4;
-    if (j.fault != FaultScenario::kNone) {
-      cfg.fault_plan =
-          make_fault_plan(j.fault, j.warmup_slots, j.measure_slots);
-      cfg.fault_plan.seeded(j.seed ^ 0x0FA7'17ULL);
-      cfg.drain_max_slots = 50'000;
-    }
-    if (j.fault == FaultScenario::kSpinePermanent) {
-      // A permanent spine cut is only viable under graceful degradation:
-      // adaptive routing re-spreads the flows and admission keeps the
-      // backlog bounded at the reduced capacity.
-      cfg.adaptive_routing = true;
-      cfg.admission.enabled = true;
-      degraded_ = true;
-    }
-    const int hosts = cfg.radix * cfg.radix / 2;
-    sim_ = std::make_unique<fabric::FabricSim>(
-        cfg, j.traffic == TrafficKind::kBursty
-                 ? sim::make_bursty(hosts, j.load, j.mean_burst, j.seed)
-                 : sim::make_uniform(hosts, j.load, j.seed));
-  }
-
-  bool advance() override { return sim_->advance_slot(); }
-  void save(ckpt::Writer& w) const override { sim_->save_state(w); }
-  void load(const ckpt::Reader& r) override { sim_->load_state(r); }
-  JobResult finalize() override;
-
- private:
-  std::unique_ptr<fabric::FabricSim> sim_;
-  bool degraded_ = false;  // graceful-degradation scenario: extra metrics
-};
-
-JobResult FabricJobDriver::finalize() {
-  const auto r = sim_->finalize();
-  auto& sim = *sim_;
-
-  JobResult out;
-  out.metrics["throughput"] = r.throughput;
-  out.metrics["delivered"] = static_cast<double>(r.delivered);
-  out.metrics["mean_delay"] = r.mean_delay_slots;
-  out.metrics["p99_delay"] = r.p99_delay_slots;
-  out.metrics["out_of_order"] = static_cast<double>(r.out_of_order);
-  out.metrics["buffer_overflows"] = static_cast<double>(r.buffer_overflows);
-  out.metrics["hosts"] = r.hosts;
-  if (degraded_) {
-    out.metrics["shed_cells"] = static_cast<double>(r.shed_cells);
-    out.metrics["resteered"] = static_cast<double>(r.resteered);
-    out.metrics["brownout_slots"] = static_cast<double>(r.brownout_slots);
-    out.metrics["max_resequencer_depth"] =
-        static_cast<double>(r.max_resequencer_depth);
-  }
-  out.report = sim.report();
-  out.raw_hists.emplace("delay", sim.delay_histogram());
-  return out;
-}
-
 class ServeJobDriver final : public JobDriver {
  public:
   explicit ServeJobDriver(const JobSpec& j)
@@ -305,15 +238,30 @@ JobResult ServeJobDriver::finalize() {
   return out;
 }
 
+/// Topology-zoo jobs, and fabric jobs as the leaf-spine preset with
+/// cell tracing on and graceful degradation under a permanent spine cut.
 class TopoJobDriver final : public JobDriver {
  public:
   explicit TopoJobDriver(const JobSpec& j)
-      : faulty_(j.fault != FaultScenario::kNone) {
+      : faulty_(j.fault != FaultScenario::kNone),
+        fabric_(j.sim == SimKind::kFabric),
+        degraded_(j.fault == FaultScenario::kSpinePermanent) {
     topo::TopoSimConfig cfg;
-    cfg.topology = j.topology;
-    cfg.hosts = j.ports;  // topo jobs: the ports axis is the host count
-    cfg.routing = j.routing;
-    cfg.fc.kind = j.flow_control;
+    if (fabric_) {
+      cfg = topo::leaf_spine_config(j.ports);  // fabric jobs: ports = radix
+      cfg.telemetry.enabled = true;
+      cfg.telemetry.sample_every = 4;
+      // A permanent spine cut is only viable under graceful degradation:
+      // adaptive routing re-spreads the flows and admission keeps the
+      // backlog bounded at the reduced capacity.
+      cfg.adaptive_routing = degraded_;
+      cfg.admission = degraded_;
+    } else {
+      cfg.topology = j.topology;
+      cfg.hosts = j.ports;  // topo jobs: the ports axis is the host count
+      cfg.routing = j.routing;
+      cfg.fc.kind = j.flow_control;
+    }
     cfg.scheduler = j.scheduler;
     cfg.scheduler_iterations = j.iterations;
     cfg.warmup_slots = j.warmup_slots;
@@ -328,7 +276,7 @@ class TopoJobDriver final : public JobDriver {
     // Wormhole streams flits_per_packet flits per packet, so inject
     // packets at load / flits_per_packet to offer the same flit load as
     // the cell kinds (the run_topo_uniform rule).
-    const double p = j.flow_control == topo::FcKind::kWormholeVc
+    const double p = cfg.fc.kind == topo::FcKind::kWormholeVc
                          ? j.load / cfg.fc.flits_per_packet
                          : j.load;
     sim_ = std::make_unique<topo::TopoSim>(
@@ -344,6 +292,8 @@ class TopoJobDriver final : public JobDriver {
 
  private:
   bool faulty_;
+  bool fabric_;    // leaf-spine fabric job: the fabric metric set
+  bool degraded_;  // graceful-degradation scenario: extra metrics
   std::unique_ptr<topo::TopoSim> sim_;
 };
 
@@ -356,18 +306,29 @@ JobResult TopoJobDriver::finalize() {
   out.metrics["delivered"] = static_cast<double>(r.delivered);
   out.metrics["mean_delay"] = r.mean_delay_slots;
   out.metrics["p99_delay"] = r.p99_delay_slots;
-  out.metrics["mean_hops"] = r.mean_hops;
-  out.metrics["stages"] = r.stages;
-  out.metrics["diameter"] = r.diameter;
   out.metrics["hosts"] = r.hosts;
   out.metrics["out_of_order"] = static_cast<double>(r.out_of_order);
   out.metrics["buffer_overflows"] = static_cast<double>(r.buffer_overflows);
-  out.metrics["exactly_once_in_order"] = r.exactly_once_in_order ? 1.0 : 0.0;
-  out.metrics["invariant_violations"] =
-      static_cast<double>(r.invariant_violations);
-  if (faulty_) {
-    out.metrics["faults_injected"] = static_cast<double>(r.faults_injected);
-    out.metrics["faults_repaired"] = static_cast<double>(r.faults_repaired);
+  if (fabric_) {
+    if (degraded_) {
+      out.metrics["shed_cells"] = static_cast<double>(r.shed_cells);
+      out.metrics["resteered"] = static_cast<double>(r.resteered);
+      out.metrics["brownout_slots"] = static_cast<double>(r.brownout_slots);
+      out.metrics["max_resequencer_depth"] =
+          static_cast<double>(r.max_resequencer_depth);
+    }
+  } else {
+    out.metrics["mean_hops"] = r.mean_hops;
+    out.metrics["stages"] = r.stages;
+    out.metrics["diameter"] = r.diameter;
+    out.metrics["exactly_once_in_order"] =
+        r.exactly_once_in_order ? 1.0 : 0.0;
+    out.metrics["invariant_violations"] =
+        static_cast<double>(r.invariant_violations);
+    if (faulty_) {
+      out.metrics["faults_injected"] = static_cast<double>(r.faults_injected);
+      out.metrics["faults_repaired"] = static_cast<double>(r.faults_repaired);
+    }
   }
   out.report = sim.report();
   out.raw_hists.emplace("delay", sim.delay_histogram());
@@ -431,8 +392,8 @@ std::unique_ptr<JobDriver> make_job_driver(const JobSpec& spec) {
     case SimKind::kSwitch: return std::make_unique<SwitchJobDriver>(spec);
     case SimKind::kEventSwitch:
       return std::make_unique<EventSwitchJobDriver>(spec);
-    case SimKind::kFabric: return std::make_unique<FabricJobDriver>(spec);
     case SimKind::kServe: return std::make_unique<ServeJobDriver>(spec);
+    case SimKind::kFabric:
     case SimKind::kTopo: return std::make_unique<TopoJobDriver>(spec);
   }
   OSMOSIS_REQUIRE(false, "unknown SimKind");

@@ -146,10 +146,9 @@ class MultiPlaneSim {
   std::vector<Plane> planes_;
   std::uint64_t now_ = 0;  // next slot advance_slot() will run
   // Resequencers, one per egress port. next_seq_[dst * ports + src] is
-  // flow (src, dst)'s next in-order sequence (FabricSim's [dst][src]
-  // layout, flattened); parked_[dst] holds the cells waiting at egress
-  // dst, sorted by (src, seq). At most `planes` cells reach one egress
-  // per slot, so the sorted insert stays short.
+  // flow (src, dst)'s next in-order sequence; parked_[dst] holds the
+  // cells waiting at egress dst, sorted by (src, seq). At most `planes`
+  // cells reach one egress per slot, so the sorted insert stays short.
   std::vector<std::uint64_t> next_seq_;
   std::vector<std::vector<Parked>> parked_;
 

@@ -71,10 +71,8 @@ TEST(ClosSim, TwoLevelMatchesLeafSpineSimulator) {
   // simulator and the L-level engine must agree exactly.
   const auto tree = run_topo_uniform(clos_config(8, 2), 0.7, 5);
 
-  fabric::FabricSimConfig fc;
+  fabric::FabricSimConfig fc;  // 4-slot trunks and 16-cell buffers
   fc.radix = 8;
-  fc.trunk_cable_slots = 4;
-  fc.buffer_cells = 16;
   fc.warmup_slots = 1'000;
   fc.measure_slots = 10'000;
   const auto leafspine = fabric::run_fabric_uniform(fc, 0.7, 5);

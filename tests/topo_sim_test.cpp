@@ -176,6 +176,43 @@ TEST(TopoSimDeath, PermanentMidRunFaultIsRejected) {
                "construction-time failed_switches");
 }
 
+TEST(TopoSim, StrandedCellsFailTheExactlyOnceVerdict) {
+  // A drain far too short to empty a loaded fabric: the end-of-run audit
+  // must report the cells still queued, not call the run exactly-once.
+  TopoSimConfig cfg = base_config(TopoKind::kFatTree, FcKind::kCredit);
+  cfg.drain_max_slots = 3;
+  const TopoSimResult r = run_topo_uniform(cfg, 0.95, 0x57A);
+  EXPECT_GT(r.injected_total, r.delivered_total);
+  EXPECT_FALSE(r.exactly_once_in_order);
+  EXPECT_EQ(r.invariant_violations, 2u);
+  EXPECT_NE(r.first_violation.find("liveness(final): "), std::string::npos)
+      << r.first_violation;
+  EXPECT_NE(r.first_violation.find(" cells stranded"), std::string::npos)
+      << r.first_violation;
+}
+
+TEST(TopoSimDeath, DegradedModeNeedsTheLeafSpineTree) {
+  // Adaptive routing and admission exist only for the two-level fat
+  // tree with a cell flow-control kind.
+  TopoSimConfig clos = base_config(TopoKind::kClos, FcKind::kCredit);
+  clos.adaptive_routing = true;
+  EXPECT_DEATH(TopoSim(clos, sim::make_uniform(clos.hosts, 0.3, 1)),
+               "two-level fat tree");
+  TopoSimConfig deep = base_config(TopoKind::kFatTree, FcKind::kCredit, 128);
+  deep.levels = 3;
+  deep.admission = true;
+  EXPECT_DEATH(TopoSim(deep, sim::make_uniform(deep.hosts, 0.3, 1)),
+               "two-level fat tree");
+  TopoSimConfig worm = base_config(TopoKind::kFatTree, FcKind::kWormholeVc);
+  worm.adaptive_routing = true;
+  EXPECT_DEATH(TopoSim(worm, sim::make_uniform(worm.hosts, 0.3, 1)),
+               "two-level fat tree");
+  worm.adaptive_routing = false;
+  worm.telemetry.enabled = true;
+  EXPECT_DEATH(TopoSim(worm, sim::make_uniform(worm.hosts, 0.3, 1)),
+               "telemetry needs a cell");
+}
+
 TEST(TopoSimDeath, MinRejectsConstructionTimeFailures) {
   TopoSimConfig cfg = base_config(TopoKind::kBenes, FcKind::kCredit);
   cfg.failed_switches = {0};
