@@ -405,8 +405,11 @@ int check_report(const JsonValue& doc, bool need_profile,
     if (tp.at("diameter").number < stages)
       return fail("report: topology.diameter < stages");
     // Every traversed stage exports its queueing-wait and peak-occupancy
-    // rows; a missing row means the per-stage attribution broke.
-    for (int s = 1; s <= static_cast<int>(stages); ++s) {
+    // rows; a missing row means the per-stage attribution broke. A folded
+    // fat tree (the section carries "levels") indexes its rows by level,
+    // since a path crosses each level below the top twice.
+    const double rows = tp.has("levels") ? tp.at("levels").number : stages;
+    for (int s = 1; s <= static_cast<int>(rows); ++s) {
       const std::string base = "stage." + std::to_string(s) + ".";
       for (const char* suffix : {"wait_mean", "occ_max"})
         if (!tp.has(base + suffix))
