@@ -254,8 +254,8 @@ cmake --build "$san_build" -j "$(nproc)" \
            chaos_test topo_sim_test clos_test api_test voq_test \
            switch_sim_test event_switch_test multiplane_test \
            scheduler_test scheduler_fuzz_test portset_test \
-           flow_ledger_test rng_stats_test baseline_test bench_chaos \
-           chaos_repro schema_check
+           flow_ledger_test rng_stats_test baseline_test fabric_test \
+           telemetry_test bench_chaos chaos_repro schema_check
 
 # The single-stage engines keep their VOQs and request FIFOs in
 # index-linked FifoPool slabs and resequence through a flat park, so
@@ -268,12 +268,16 @@ cmake --build "$san_build" -j "$(nproc)" \
 # dense sim::FlowLedger array and its side table, the baseline switches
 # included, and the ledger loads its three checkpoint views from raw
 # bytes, so the ledger, stats and baseline tests run here as well.
+# TopoSim's leaf-spine preset indexes a trace side table, a resequencer
+# park and re-steered VOQs, which the fabric and telemetry tests drive
+# harder than the failure and checkpoint tests do, so they run here too.
 echo "== sanitizer run: failure, fault, checkpoint, api & engine tests =="
 for t in failures_test faults_test arq_test fec_test ckpt_test \
          chaos_test topo_sim_test clos_test api_test voq_test \
          switch_sim_test event_switch_test multiplane_test \
          scheduler_test scheduler_fuzz_test portset_test \
-         flow_ledger_test rng_stats_test baseline_test; do
+         flow_ledger_test rng_stats_test baseline_test fabric_test \
+         telemetry_test; do
   echo "-- $t"
   "$san_build/tests/$t" --gtest_brief=1
 done
@@ -296,8 +300,9 @@ done
 
 echo "== sanitizer run: degraded-mode repro replay =="
 # The committed graceful-degradation reference trial (permanent spine
-# cut, adaptive routing + admission) under ASan+UBSan: re-steering,
-# resequencing, and shed accounting are fresh pointer-heavy paths.
+# cut, adaptive routing + admission on TopoSim's leaf-spine preset) under
+# ASan+UBSan: re-steering, resequencing, and shed accounting are
+# index-heavy paths.
 "$san_build/bench/chaos_repro" "$repo/bench/baselines/degraded_repro.json"
 
 echo "== sanitizer build (TSan) =="
