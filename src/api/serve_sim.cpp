@@ -3,9 +3,22 @@
 #include <algorithm>
 #include <utility>
 
+#include "src/phy/guard_time.hpp"
 #include "src/util/log.hpp"
 
 namespace osmosis::api {
+
+namespace {
+
+// Driver mode: wildcard receives kept armed per endpoint. Re-arming runs
+// only every kRecvRearmEvery slots — a cadence > 1 deliberately lets
+// arrivals overtake the posted list now and then, so the
+// unexpected-message path carries real traffic in every serving run.
+constexpr std::size_t kServerRecvDepth = 4;
+constexpr std::uint64_t kRecvRearmEvery = 4;
+constexpr std::uint64_t kMrBytesPerPort = 1 << 20;  // driver-mode MR size
+
+}  // namespace
 
 /// Adapts the per-port segmenters to the switch's TrafficGen interface.
 /// SwitchSim samples inputs 0..N-1 once per slot in order; input 0's
@@ -51,19 +64,17 @@ ServeSim::ServeSim(ServeSimConfig cfg)
   OSMOSIS_REQUIRE(ports >= 2, "ServeSim needs >= 2 ports");
   OSMOSIS_REQUIRE(!cfg_.sw.on_delivery,
                   "ServeSim owns the switch delivery callback");
-  OSMOSIS_REQUIRE(cfg_.cell.feasible(), "infeasible cell format");
   tenants_ = cfg_.openloop.tenants;
   OSMOSIS_REQUIRE(tenants_ >= 1 && tenants_ <= 64,
                   "tenants must be in 1..64");
-  OSMOSIS_REQUIRE(cfg_.server_recv_depth >= 1 && cfg_.recv_rearm_every >= 1,
-                  "recv depth and re-arm cadence must be >= 1");
 
   segmenters_.reserve(static_cast<std::size_t>(ports));
   endpoints_.reserve(static_cast<std::size_t>(ports));
   tx_cqs_.reserve(static_cast<std::size_t>(ports));
   rx_cqs_.reserve(static_cast<std::size_t>(ports));
+  const double cell_bytes = phy::demonstrator_cell_format().user_bytes();
   for (int p = 0; p < ports; ++p) {
-    segmenters_.emplace_back(cfg_.cell.user_bytes());
+    segmenters_.emplace_back(cell_bytes);
     endpoints_.emplace_back(p);
     tx_cqs_.emplace_back(cfg_.cq_capacity);
     rx_cqs_.emplace_back(cfg_.cq_capacity);
@@ -99,16 +110,16 @@ ServeSim::ServeSim(ServeSimConfig cfg)
     driver_ = OpenLoopDriver(cfg_.openloop, ports, cells_per_request_,
                              cfg_.seed);
     OSMOSIS_REQUIRE(
-        static_cast<double>(cfg_.mr_bytes_per_port) >=
+        static_cast<double>(kMrBytesPerPort) >=
             2.0 * cfg_.openloop.request_bytes,
         "driver-mode MR must hold at least two requests");
     port_mr_key_.reserve(static_cast<std::size_t>(ports));
     for (int p = 0; p < ports; ++p)
       port_mr_key_.push_back(
-          mr_.register_region(p, cfg_.mr_bytes_per_port));
+          mr_.register_region(p, kMrBytesPerPort));
     // Initial arming: the steady-state wildcard recv pool per endpoint.
     for (int p = 0; p < ports; ++p)
-      for (int i = 0; i < cfg_.server_recv_depth; ++i)
+      for (std::size_t i = 0; i < kServerRecvDepth; ++i)
         post_recv(p, 0, ~std::uint64_t{0}, 0);
   }
 
@@ -277,10 +288,10 @@ void ServeSim::on_slot() {
       while (q.pop(c)) ++cq_drained_;
     for (auto& q : rx_cqs_)
       while (q.pop(c)) ++cq_drained_;
-    if (slot_ % static_cast<std::uint64_t>(cfg_.recv_rearm_every) == 0) {
+    if (slot_ % kRecvRearmEvery == 0) {
       for (int p = 0; p < cfg_.sw.ports; ++p)
         while (endpoints_[static_cast<std::size_t>(p)].posted_recvs() <
-               static_cast<std::size_t>(cfg_.server_recv_depth))
+               kServerRecvDepth)
           post_recv(p, 0, ~std::uint64_t{0}, 0);
     }
     driver_.poll(slot_, scratch_);
@@ -302,7 +313,7 @@ void ServeSim::issue_request(const Request& r) {
         port_mr_key_[static_cast<std::size_t>(r.dst)];
     // Deterministic region placement: client-striped, always in bounds.
     const std::uint64_t span =
-        cfg_.mr_bytes_per_port -
+        kMrBytesPerPort -
         static_cast<std::uint64_t>(cfg_.openloop.request_bytes);
     const std::uint64_t offset =
         (static_cast<std::uint64_t>(r.client) * 4096) % std::max<std::uint64_t>(span, 1);

@@ -37,7 +37,6 @@
 #include "src/ckpt/ckpt.hpp"
 #include "src/host/admission.hpp"
 #include "src/host/message.hpp"
-#include "src/phy/guard_time.hpp"
 #include "src/sim/stats.hpp"
 #include "src/sw/switch_sim.hpp"
 #include "src/telemetry/run_report.hpp"
@@ -46,16 +45,8 @@ namespace osmosis::api {
 
 struct ServeSimConfig {
   sw::SwitchSimConfig sw;  // on_delivery must be unset (ServeSim owns it)
-  phy::CellFormat cell = phy::demonstrator_cell_format();
   std::size_t cq_capacity = 1024;
-  // Driver mode: wildcard receives kept armed per endpoint. Re-arming
-  // runs only every recv_rearm_every slots — a cadence > 1 deliberately
-  // lets arrivals overtake the posted list now and then, so the
-  // unexpected-message path carries real traffic in every serving run.
-  int server_recv_depth = 4;
-  int recv_rearm_every = 4;
-  std::uint64_t mr_bytes_per_port = 1 << 20;  // driver-mode MR size
-  std::uint64_t seed = 1;                     // open-loop driver RNG
+  std::uint64_t seed = 1;  // open-loop driver RNG
   OpenLoopConfig openloop;  // clients == 0: manual API only
   // Per-tenant serving admission: margin_pct % of total port capacity,
   // split evenly across tenants, as each tenant's token-bucket rate.

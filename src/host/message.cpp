@@ -45,20 +45,4 @@ bool Segmenter::next_cell(std::uint64_t& msg_id_out, int& dst_out,
   return true;
 }
 
-void Reassembler::expect(std::uint64_t msg_id, int total_cells) {
-  OSMOSIS_REQUIRE(total_cells >= 1, "message needs at least one cell");
-  const auto [it, inserted] = pending_.emplace(msg_id, total_cells);
-  OSMOSIS_REQUIRE(inserted, "duplicate message id " << msg_id);
-  (void)it;
-}
-
-bool Reassembler::receive(std::uint64_t msg_id) {
-  auto it = pending_.find(msg_id);
-  OSMOSIS_REQUIRE(it != pending_.end(),
-                  "cell for unknown/completed message " << msg_id);
-  if (--it->second > 0) return false;
-  pending_.erase(it);
-  return true;
-}
-
 }  // namespace osmosis::host

@@ -2,15 +2,14 @@
 // Host-level messages over the cell fabric (§III): HPC nodes exchange
 // variable-size messages — short latency-critical control messages and
 // long bandwidth-critical data transfers — which the Host Channel
-// Adapter segments into the fabric's fixed-size cells and reassembles at
-// the destination. In-order cell delivery per (input, output, class)
-// (a Table 1 requirement the switch guarantees) is what makes the
-// reassembly here trivially streaming.
+// Adapter segments into the fabric's fixed-size cells. In-order cell
+// delivery per (input, output, class) (a Table 1 requirement the switch
+// guarantees) means a message is complete once its last cell lands, so
+// reassembly is a count of outstanding cells (api::ServeSim keeps one
+// per operation).
 
 #include <cstdint>
 #include <deque>
-#include <map>
-#include <vector>
 
 #include "src/ckpt/archive.hpp"
 
@@ -59,9 +58,6 @@ class Segmenter {
                  bool& last_out);
 
   bool idle() const { return control_q_.empty() && data_q_.empty(); }
-  std::size_t backlog_messages() const {
-    return control_q_.size() + data_q_.size();
-  }
 
   /// In-flight segmentation state (queued messages + cells-left
   /// cursors); `user_bytes_per_cell_` is construction config and is not
@@ -87,29 +83,6 @@ class Segmenter {
   double user_bytes_per_cell_;
   std::deque<InProgress> control_q_;
   std::deque<InProgress> data_q_;
-};
-
-/// Destination-side reassembly: counts received cells per message and
-/// reports completion. With in-order per-flow delivery no sequence
-/// bookkeeping beyond the count is needed.
-class Reassembler {
- public:
-  /// Registers an expected message (called by the sim when it is posted).
-  void expect(std::uint64_t msg_id, int total_cells);
-
-  /// A cell of `msg_id` arrived. Returns true when the message is now
-  /// complete (this was its last outstanding cell).
-  bool receive(std::uint64_t msg_id);
-
-  std::size_t incomplete() const { return pending_.size(); }
-
-  template <class Ar>
-  void io_state(Ar& a) {
-    ckpt::field(a, pending_);
-  }
-
- private:
-  std::map<std::uint64_t, int> pending_;  // id -> cells still missing
 };
 
 }  // namespace osmosis::host

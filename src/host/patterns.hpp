@@ -23,9 +23,6 @@ class MessageWorkload {
   /// Appends the messages host `h` posts at slot `t` to `out`. Ids must
   /// be globally unique; the caller fills post_slot.
   virtual void poll(int host, std::uint64_t t, std::vector<Message>& out) = 0;
-
-  /// True for workloads that post a fixed set of messages (collectives).
-  virtual bool finite() const = 0;
 };
 
 /// Random messaging: each host posts a message per slot with probability
@@ -39,7 +36,6 @@ class RandomMessages final : public MessageWorkload {
 
   int hosts() const override { return hosts_; }
   void poll(int host, std::uint64_t t, std::vector<Message>& out) override;
-  bool finite() const override { return false; }
 
  private:
   int hosts_;
@@ -60,7 +56,6 @@ class AllToAll final : public MessageWorkload {
 
   int hosts() const override { return hosts_; }
   void poll(int host, std::uint64_t t, std::vector<Message>& out) override;
-  bool finite() const override { return true; }
 
  private:
   int hosts_;
@@ -76,7 +71,6 @@ class RingExchange final : public MessageWorkload {
 
   int hosts() const override { return hosts_; }
   void poll(int host, std::uint64_t t, std::vector<Message>& out) override;
-  bool finite() const override { return true; }
 
  private:
   int hosts_;

@@ -16,8 +16,8 @@ struct Cell {
   std::uint64_t seq = 0;           // per-(src,dst) sequence, for ordering
   std::uint64_t arrival_slot = 0;  // slot it entered the ingress VOQ
   sim::TrafficClass cls = sim::TrafficClass::kData;
-  std::uint64_t tag = 0;           // opaque user tag (e.g. message id for
-                                   // the host segmentation/reassembly layer)
+  std::uint64_t tag = 0;           // opaque user tag (e.g. the operation
+                                   // id api::ServeSim segments and settles)
   std::int32_t trace = -1;         // telemetry::CellTrace handle (-1 =
                                    // untraced; see src/telemetry/)
 

@@ -48,7 +48,7 @@ struct SwitchSimConfig {
   // light path matches the granted input (slower; used by tests).
   bool validate_optical_path = false;
   // Called for every cell leaving an egress line (warmup included), with
-  // the departure slot. Used by the host reassembly layer.
+  // the departure slot. api::ServeSim settles its operations here.
   std::function<void(const Cell&, std::uint64_t slot)> on_delivery;
   // Failure injection, applied before the run. A failed optical
   // switching module (egress, receiver) reduces that output's usable
