@@ -22,6 +22,8 @@
 # committed baseline with the same 1-vs-8-thread and kill-and-resume
 # byte diffs, hold the §III app-to-app latency tables
 # (bench_app_latency) byte-identical to their committed baseline,
+# hold bench_failures' degraded-operation tables and its combined-fault
+# RunReport byte-identical to theirs,
 # assert the §VI.C stage-count ordering with
 # bench_vi_c_stage_count and schema-check its topology report section,
 # assert the disabled-profiler overhead bound on
@@ -226,6 +228,17 @@ echo "== SS III app-to-app latency vs committed baseline =="
 "$build/bench/bench_app_latency" > "$build/app_latency.txt"
 cmp "$repo/bench/baselines/app_latency.txt" "$build/app_latency.txt"
 echo "app-to-app latency tables match the committed baseline"
+
+echo "== degraded operation: bench_failures vs committed baselines =="
+# The static-failure sweeps, the mid-run fault table and the combined
+# scenario's RunReport are deterministic at any thread count. Only the
+# last two stdout lines vary (wall clock, JSON path), so they are cut.
+"$build/bench/bench_failures" --json="$build/failures_combined.json" \
+  | head -n -2 > "$build/failures_tables.txt"
+cmp "$repo/bench/baselines/failures_tables.txt" "$build/failures_tables.txt"
+cmp "$repo/bench/baselines/failures_combined.json" \
+  "$build/failures_combined.json"
+echo "degraded-operation tables and combined report match their baselines"
 
 echo "== VI.C stage-count matrix: 3 vs 5 vs 9 stages, ordering asserted =="
 # The binary itself REQUIREs the paper's ordering (fat tree >= MIN

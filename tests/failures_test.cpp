@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "src/exec/campaign.hpp"
 #include "src/fabric/multiplane.hpp"
 #include "src/faults/fault_plan.hpp"
 #include "src/phy/crossbar_optical.hpp"
@@ -201,10 +205,28 @@ sw::SwitchSimConfig fault_config() {
   return cfg;
 }
 
+// The outcome of one switch run that the single-stage fault model
+// decides: the result, the invariant monitor's slot checks and the
+// health registry's transition log.
+struct SwitchRun {
+  sw::SwitchSimResult r;
+  std::uint64_t checks = 0;
+  std::vector<std::string> health;
+};
+
+using Log = std::vector<std::string>;
+
+SwitchRun run_switch(const sw::SwitchSimConfig& cfg, double load,
+                     std::uint64_t seed) {
+  sw::SwitchSim sim(cfg, sim::make_uniform(cfg.ports, load, seed));
+  // A braced list runs in order: the run first, then its readouts.
+  return {sim.run(), sim.monitor().checks(), sim.health().event_log()};
+}
+
 TEST(FaultInjection, TransientModuleDeathRecoversExactlyOnce) {
   auto cfg = fault_config();
   cfg.fault_plan.kill_module(2'000, 5, 1, 1'500);
-  const auto r = sw::run_uniform(cfg, 0.6, 0xD1);
+  const auto [r, checks, health] = run_switch(cfg, 0.6, 0xD1);
   EXPECT_TRUE(r.exactly_once_in_order);
   EXPECT_EQ(r.duplicates, 0u);
   EXPECT_EQ(r.missing, 0u);
@@ -213,6 +235,15 @@ TEST(FaultInjection, TransientModuleDeathRecoversExactlyOnce) {
   EXPECT_EQ(r.faults_repaired, 1u);
   EXPECT_EQ(r.faults_recovered, 1u);  // recovery time is finite
   EXPECT_NEAR(r.throughput, 0.6, 0.05);
+  EXPECT_EQ(r.delivered, 76992u);
+  EXPECT_EQ(r.mean_delay, 1.7818604530340845);
+  EXPECT_EQ(r.drained_slots, 2u);
+  EXPECT_EQ(checks, 8502u);
+  EXPECT_EQ(r.grant_corruptions, 0u);
+  EXPECT_EQ(r.retransmissions, 0u);
+  EXPECT_EQ(r.mean_recovery_slots, 0.0);
+  EXPECT_EQ(health, (Log{"t=2000 module/5/1 FAILED (injected)",
+                         "t=3500 module/5/1 OK (repaired)"}));
 }
 
 TEST(FaultInjection, MidRunFiberCutParksCellsUntilTheSplice) {
@@ -221,48 +252,92 @@ TEST(FaultInjection, MidRunFiberCutParksCellsUntilTheSplice) {
   // nothing lost, nothing reordered.
   auto cfg = fault_config();
   cfg.fault_plan.cut_fiber(2'000, 1, 2'000);  // inputs 4..7 dark
-  const auto r = sw::run_uniform(cfg, 0.6, 0xD2);
+  const auto [r, checks, health] = run_switch(cfg, 0.6, 0xD2);
   EXPECT_TRUE(r.exactly_once_in_order);
   EXPECT_EQ(r.out_of_order, 0u);
   EXPECT_EQ(r.faults_recovered, 1u);
   EXPECT_GT(r.mean_recovery_slots, 0.0);  // a real backlog had built up
+  EXPECT_EQ(r.delivered, 76752u);
+  EXPECT_EQ(r.mean_delay, 160.89787888263277);
+  EXPECT_EQ(r.drained_slots, 3u);
+  EXPECT_EQ(checks, 8503u);
+  EXPECT_EQ(r.grant_corruptions, 0u);
+  EXPECT_EQ(r.retransmissions, 0u);
+  EXPECT_EQ(r.mean_recovery_slots, 3096.0);
+  EXPECT_EQ(health, (Log{"t=2000 broadcast/1 FAILED (fiber cut)",
+                         "t=4000 broadcast/1 OK (spliced)"}));
 }
 
 TEST(FaultInjection, GrantCorruptionIsHealedByTheTimeoutPath) {
   auto cfg = fault_config();
   cfg.fault_plan.corrupt_grants(1'000, 5'000, 0.05);
-  const auto r = sw::run_uniform(cfg, 0.6, 0xD3);
+  const auto [r, checks, health] = run_switch(cfg, 0.6, 0xD3);
   EXPECT_GT(r.grant_corruptions, 0u);
   EXPECT_TRUE(r.exactly_once_in_order);
   EXPECT_EQ(r.out_of_order, 0u);
+  EXPECT_EQ(r.delivered, 76634u);
+  EXPECT_EQ(r.mean_delay, 2.0846230132838826);
+  EXPECT_EQ(r.drained_slots, 5u);
+  EXPECT_EQ(checks, 8505u);
+  EXPECT_EQ(r.grant_corruptions, 2485u);
+  EXPECT_EQ(r.retransmissions, 0u);
+  EXPECT_EQ(r.mean_recovery_slots, 21.0);
+  EXPECT_EQ(health, (Log{"t=1000 controlpath DEGRADED (grant corruption)",
+                         "t=6000 controlpath OK (clean)"}));
 }
 
 TEST(FaultInjection, BurstErrorsAreHealedByRetransmission) {
   auto cfg = fault_config();
   cfg.fault_plan.burst_errors(1'000, -1, 5'000, 0.02);
-  const auto r = sw::run_uniform(cfg, 0.6, 0xD4);
+  const auto [r, checks, health] = run_switch(cfg, 0.6, 0xD4);
   EXPECT_GT(r.retransmissions, 0u);
   EXPECT_TRUE(r.exactly_once_in_order);
   EXPECT_EQ(r.out_of_order, 0u);
+  EXPECT_EQ(r.delivered, 77006u);
+  EXPECT_EQ(r.mean_delay, 1.9000857076072037);
+  EXPECT_EQ(r.drained_slots, 3u);
+  EXPECT_EQ(checks, 8503u);
+  EXPECT_EQ(r.grant_corruptions, 0u);
+  EXPECT_EQ(r.retransmissions, 962u);
+  EXPECT_EQ(r.mean_recovery_slots, 0.0);
+  EXPECT_EQ(health, (Log{"t=1000 link/all DEGRADED (burst errors)",
+                         "t=6000 link/all OK (clean)"}));
 }
 
 TEST(FaultInjection, AdapterStallBackpressuresLosslessly) {
   auto cfg = fault_config();
   cfg.fault_plan.stall_adapter(2'000, 3, 1'500);
-  const auto r = sw::run_uniform(cfg, 0.6, 0xD5);
+  const auto [r, checks, health] = run_switch(cfg, 0.6, 0xD5);
   EXPECT_TRUE(r.exactly_once_in_order);
   EXPECT_EQ(r.faults_recovered, 1u);
+  EXPECT_EQ(r.delivered, 76768u);
+  EXPECT_EQ(r.mean_delay, 23.468919341392528);
+  EXPECT_EQ(r.drained_slots, 9u);
+  EXPECT_EQ(checks, 8509u);
+  EXPECT_EQ(r.grant_corruptions, 0u);
+  EXPECT_EQ(r.retransmissions, 0u);
+  EXPECT_EQ(r.mean_recovery_slots, 2245.0);
+  EXPECT_EQ(health, (Log{"t=2000 adapter/3 DEGRADED (stalled)",
+                         "t=3500 adapter/3 OK (resumed)"}));
 }
 
 TEST(FaultInjection, PermanentModuleDeathSurvivesOnTheSecondReceiver) {
   auto cfg = fault_config();
   cfg.fault_plan.kill_module(2'000, 5, 1);  // never repaired
-  const auto r = sw::run_uniform(cfg, 0.6, 0xD6);
+  const auto [r, checks, health] = run_switch(cfg, 0.6, 0xD6);
   EXPECT_TRUE(r.exactly_once_in_order);  // survivor carries the egress
   EXPECT_EQ(r.faults_injected, 1u);
   EXPECT_EQ(r.faults_repaired, 0u);
   EXPECT_EQ(r.faults_recovered, 0u);  // recovery stays open by definition
   EXPECT_NEAR(r.throughput, 0.6, 0.05);
+  EXPECT_EQ(r.delivered, 76962u);
+  EXPECT_EQ(r.mean_delay, 1.7930407213949859);
+  EXPECT_EQ(r.drained_slots, 2u);
+  EXPECT_EQ(checks, 8502u);
+  EXPECT_EQ(r.grant_corruptions, 0u);
+  EXPECT_EQ(r.retransmissions, 0u);
+  EXPECT_EQ(r.mean_recovery_slots, 0.0);
+  EXPECT_EQ(health, (Log{"t=2000 module/5/1 FAILED (injected)"}));
 }
 
 TEST(FaultInjection, CombinedFaultsStillDeliverExactlyOnce) {
@@ -272,13 +347,30 @@ TEST(FaultInjection, CombinedFaultsStillDeliverExactlyOnce) {
       .corrupt_grants(1'500, 4'000, 0.02)
       .burst_errors(2'200, 7, 2'000, 0.03)
       .stall_adapter(3'000, 11, 900);
-  const auto r = sw::run_uniform(cfg, 0.6, 0xD7);
+  const auto [r, checks, health] = run_switch(cfg, 0.6, 0xD7);
   EXPECT_TRUE(r.exactly_once_in_order);
   EXPECT_EQ(r.duplicates, 0u);
   EXPECT_EQ(r.missing, 0u);
   EXPECT_EQ(r.out_of_order, 0u);
   EXPECT_EQ(r.faults_injected, 5u);
   EXPECT_EQ(r.faults_repaired, 5u);
+  EXPECT_EQ(r.delivered, 76610u);
+  EXPECT_EQ(r.mean_delay, 49.384388461036011);
+  EXPECT_EQ(r.drained_slots, 2u);
+  EXPECT_EQ(checks, 8502u);
+  EXPECT_EQ(r.grant_corruptions, 745u);
+  EXPECT_EQ(r.retransmissions, 36u);
+  EXPECT_EQ(r.mean_recovery_slots, 1670.8);
+  EXPECT_EQ(health, (Log{"t=1500 controlpath DEGRADED (grant corruption)",
+                         "t=2000 module/5/1 FAILED (injected)",
+                         "t=2200 link/7 DEGRADED (burst errors)",
+                         "t=2600 broadcast/2 FAILED (fiber cut)",
+                         "t=3000 adapter/11 DEGRADED (stalled)",
+                         "t=3200 module/5/1 OK (repaired)",
+                         "t=3600 broadcast/2 OK (spliced)",
+                         "t=3900 adapter/11 OK (resumed)",
+                         "t=4200 link/7 OK (clean)",
+                         "t=5500 controlpath OK (clean)"}));
 }
 
 TEST(FaultInjection, SamePlanAndSeedReplaysBitIdentically) {
@@ -304,7 +396,23 @@ TEST(FaultInjection, SamePlanAndSeedReplaysBitIdentically) {
   EXPECT_DOUBLE_EQ(ra.mean_delay, rb.mean_delay);
   EXPECT_DOUBLE_EQ(ra.mean_recovery_slots, rb.mean_recovery_slots);
   // The determinism audit trail: identical health event logs.
-  EXPECT_EQ(a.health().event_log(), b.health().event_log());
+  const Log health = a.health().event_log();
+  EXPECT_EQ(health, b.health().event_log());
+  EXPECT_EQ(ra.delivered, 76891u);
+  EXPECT_EQ(ra.mean_delay, 28.647006801836227);
+  EXPECT_EQ(ra.drained_slots, 3u);
+  EXPECT_EQ(a.monitor().checks(), 8503u);
+  EXPECT_EQ(ra.grant_corruptions, 845u);
+  EXPECT_EQ(ra.retransmissions, 278u);
+  EXPECT_EQ(ra.mean_recovery_slots, 1185.25);
+  EXPECT_EQ(health, (Log{"t=1500 controlpath DEGRADED (grant corruption)",
+                         "t=1500 link/all DEGRADED (burst errors)",
+                         "t=2000 module/5/1 FAILED (injected)",
+                         "t=3000 module/5/1 OK (repaired)",
+                         "t=3000 broadcast/2 FAILED (fiber cut)",
+                         "t=3800 broadcast/2 OK (spliced)",
+                         "t=4500 controlpath OK (clean)",
+                         "t=4500 link/all OK (clean)"}));
 }
 
 TEST(FaultInjection, ZeroRateWindowLeavesTheTrafficPathUntouched) {
@@ -313,12 +421,74 @@ TEST(FaultInjection, ZeroRateWindowLeavesTheTrafficPathUntouched) {
   const auto base = sw::run_uniform(failure_config(), 0.7, 99);
   auto cfg = failure_config();
   cfg.fault_plan.corrupt_grants(1'000, 4'000, 0.0);
-  const auto r = sw::run_uniform(cfg, 0.7, 99);
+  const auto [r, checks, health] = run_switch(cfg, 0.7, 99);
   EXPECT_EQ(r.delivered, base.delivered);
   EXPECT_DOUBLE_EQ(r.throughput, base.throughput);
   EXPECT_DOUBLE_EQ(r.mean_delay, base.mean_delay);
   EXPECT_EQ(r.grant_corruptions, 0u);
   EXPECT_EQ(r.retransmissions, 0u);
+  EXPECT_EQ(r.delivered, 89278u);
+  EXPECT_EQ(r.mean_delay, 2.1802683751876009);
+  EXPECT_EQ(r.drained_slots, 0u);
+  EXPECT_EQ(checks, 8500u);
+  EXPECT_EQ(r.mean_recovery_slots, 0.0);
+  EXPECT_EQ(health, (Log{"t=1000 controlpath DEGRADED (grant corruption)",
+                         "t=5000 controlpath OK (clean)"}));
+}
+
+// bench_failures' combined scenario on 16 ports: a module outage, a
+// fiber cut, grant corruption, burst errors on one link and an adapter
+// stall, overlapping inside the measurement window.
+sw::SwitchSimConfig combined_plan_config() {
+  auto cfg = fault_config();
+  cfg.measure_slots = 6'000;
+  cfg.fault_plan =
+      exec::make_fault_plan(exec::FaultScenario::kCombined, 500, 6'000)
+          .seeded(0x5EED);
+  return cfg;
+}
+
+// The transitions that plan drives, at the same cycles in both engines.
+Log combined_plan_log() {
+  return {"t=2000 module/7/1 FAILED (injected)",
+          "t=2000 controlpath DEGRADED (grant corruption)",
+          "t=2375 link/5 DEGRADED (burst errors)",
+          "t=2500 adapter/12 DEGRADED (stalled)",
+          "t=2750 broadcast/3 FAILED (fiber cut)",
+          "t=3250 adapter/12 OK (resumed)",
+          "t=3500 module/7/1 OK (repaired)",
+          "t=3500 controlpath OK (clean)",
+          "t=3875 link/5 OK (clean)",
+          "t=4250 broadcast/3 OK (spliced)"};
+}
+
+TEST(FaultInjection, OpticalValidationHoldsUnderACombinedPlan) {
+  // The run asserts every granted light path on the gate-accurate
+  // crossbar while modules die, a fiber is cut and an adapter stalls,
+  // and the check itself must not change the run.
+  auto cfg = combined_plan_config();
+  const auto [r, checks, health] = run_switch(cfg, 0.7, 0xD7);
+  EXPECT_TRUE(r.exactly_once_in_order);
+  EXPECT_EQ(r.faults_injected, 5u);
+  EXPECT_EQ(r.faults_repaired, 5u);
+  EXPECT_EQ(r.delivered, 65647u);
+  EXPECT_EQ(r.mean_delay, 147.99840053620068);
+  EXPECT_EQ(r.drained_slots, 529u);
+  EXPECT_EQ(checks, 7029u);
+  EXPECT_EQ(r.grant_corruptions, 135u);
+  EXPECT_EQ(r.retransmissions, 17u);
+  EXPECT_EQ(r.mean_recovery_slots, 3311.1999999999998);
+  EXPECT_EQ(health, combined_plan_log());
+  EXPECT_EQ(r.crossbar_reconfigs, 292266u);
+  cfg.validate_optical_path = false;
+  const auto plain = run_switch(cfg, 0.7, 0xD7);
+  EXPECT_EQ(plain.r.crossbar_reconfigs, 0u);
+  EXPECT_EQ(plain.r.delivered, r.delivered);
+  EXPECT_EQ(plain.r.mean_delay, r.mean_delay);
+  EXPECT_EQ(plain.r.grant_corruptions, r.grant_corruptions);
+  EXPECT_EQ(plain.r.retransmissions, r.retransmissions);
+  EXPECT_EQ(plain.checks, checks);
+  EXPECT_EQ(plain.health, health);
 }
 
 TEST(FaultInjection, SingleStageSwitchRejectsPlaneFaults) {
@@ -327,24 +497,74 @@ TEST(FaultInjection, SingleStageSwitchRejectsPlaneFaults) {
   EXPECT_DEATH(sw::run_uniform(cfg, 0.5, 1), "multi-plane");
 }
 
-TEST(EventSwitchFaults, MidRunFaultsStayExactlyOnceInRealTime) {
+struct EventRun {
+  sw::EventSwitchResult r;
+  std::uint64_t checks = 0;
+  std::vector<std::string> health;
+};
+
+EventRun run_event(const sw::EventSwitchConfig& cfg, double load,
+                   std::uint64_t seed) {
+  sw::EventSwitchSim sim(cfg, sim::make_uniform(cfg.ports, load, seed));
+  return {sim.run(), sim.monitor().checks(), sim.health().event_log()};
+}
+
+sw::EventSwitchConfig event_fault_config(int ports) {
   sw::EventSwitchConfig cfg;
-  cfg.ports = 8;
+  cfg.ports = ports;
   cfg.sched.kind = sw::SchedulerKind::kFlppr;
   cfg.sched.receivers = 2;
   cfg.warmup_ns = 500 * 51.2;
   cfg.measure_ns = 6'000 * 51.2;
   cfg.drain_max_cycles = 30'000;
+  return cfg;
+}
+
+TEST(EventSwitchFaults, MidRunFaultsStayExactlyOnceInRealTime) {
+  auto cfg = event_fault_config(8);
   cfg.fault_plan.kill_module(1'500, 3, 1, 1'000)
       .corrupt_grants(1'000, 3'000, 0.03)
       .burst_errors(1'000, -1, 3'000, 0.01);
-  const auto r = sw::run_event_uniform(cfg, 0.5, 0xE1);
+  const auto [r, checks, health] = run_event(cfg, 0.5, 0xE1);
   EXPECT_TRUE(r.exactly_once_in_order);
   EXPECT_EQ(r.out_of_order, 0u);
   EXPECT_GT(r.grant_corruptions, 0u);
   EXPECT_GT(r.retransmissions, 0u);
   EXPECT_EQ(r.faults_injected, 3u);
   EXPECT_EQ(r.faults_repaired, 3u);
+  EXPECT_EQ(r.delivered, 23953u);
+  EXPECT_EQ(r.mean_delay_ns, 208.3375944666856);
+  EXPECT_EQ(r.drained_cycles, 4u);
+  EXPECT_EQ(checks, 6504u);
+  EXPECT_EQ(r.grant_corruptions, 389u);
+  EXPECT_EQ(r.retransmissions, 121u);
+  EXPECT_EQ(r.mean_recovery_cycles, 0.33333333333333331);
+  EXPECT_EQ(health, (Log{"t=1000 controlpath DEGRADED (grant corruption)",
+                         "t=1000 link/all DEGRADED (burst errors)",
+                         "t=1500 module/3/1 FAILED (injected)",
+                         "t=2500 module/3/1 OK (repaired)",
+                         "t=4000 controlpath OK (clean)",
+                         "t=4000 link/all OK (clean)"}));
+}
+
+TEST(EventSwitchFaults, HealthLogMatchesTheSlotEngine) {
+  // The same plan on the same geometry drives the same transitions at
+  // the same cell cycles in both engines.
+  auto cfg = event_fault_config(16);
+  cfg.fault_plan = combined_plan_config().fault_plan;
+  const auto [r, checks, health] = run_event(cfg, 0.7, 0xD7);
+  EXPECT_TRUE(r.exactly_once_in_order);
+  EXPECT_EQ(r.faults_injected, 5u);
+  EXPECT_EQ(r.faults_repaired, 5u);
+  EXPECT_EQ(r.delivered, 67363u);
+  EXPECT_EQ(r.mean_delay_ns, 8269.1059246300483);
+  EXPECT_EQ(r.drained_cycles, 531u);
+  EXPECT_EQ(checks, 7031u);
+  EXPECT_EQ(r.grant_corruptions, 132u);
+  EXPECT_EQ(r.retransmissions, 16u);
+  EXPECT_EQ(r.mean_recovery_cycles, 3282.1999999999998);
+  EXPECT_EQ(health, combined_plan_log());
+  EXPECT_EQ(health, run_switch(combined_plan_config(), 0.7, 0xD7).health);
 }
 
 // The leaf-spine fabric runs on TopoSim's two-level fat-tree preset and
