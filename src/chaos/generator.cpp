@@ -8,6 +8,7 @@
 #include "src/exec/campaign.hpp"
 #include "src/mgmt/config_check.hpp"
 #include "src/sim/rng.hpp"
+#include "src/sw/switch_faults.hpp"
 #include "src/util/log.hpp"
 
 namespace osmosis::chaos {
@@ -23,14 +24,6 @@ std::size_t pick_weighted(sim::Rng& rng, const std::vector<int>& weights) {
     if (roll < 0) return i;
   }
   return weights.size() - 1;
-}
-
-/// Mirrors the fibers derivation in SwitchSim/EventSwitchSim: smallest
-/// power of two whose square covers the port count.
-int derive_fibers(int ports) {
-  int fibers = 1;
-  while (fibers * fibers < ports) fibers <<= 1;
-  return fibers;
 }
 
 /// Count of switches in the stage TopoSim aims mid-run plane faults at
@@ -54,7 +47,7 @@ bool event_valid(const TrialSpec& spec, const faults::FaultEvent& e) {
   mirror.ports = spec.sources();
   mirror.receivers = spec.receivers;
   if (spec.sim == TrialSim::kSwitch || spec.sim == TrialSim::kEventSwitch) {
-    mirror.fibers = derive_fibers(spec.ports);
+    mirror.fibers = sw::broadcast_fibers(spec.ports);
     mirror.wavelengths = spec.ports / mirror.fibers;
   }
   // Parallel-path count for the permanent-disconnection check: the
@@ -159,7 +152,8 @@ faults::FaultEvent roll_switch_event(sim::Rng& rng, const TrialSpec& spec) {
       if (rng.bernoulli(0.12)) e.duration_slots = 0;  // permanent
       break;
     case faults::FaultKind::kFiberCut:
-      e.a = static_cast<int>(rng.uniform_int(derive_fibers(spec.ports)));
+      e.a = static_cast<int>(
+          rng.uniform_int(sw::broadcast_fibers(spec.ports)));
       if (rng.bernoulli(0.12)) e.duration_slots = 0;  // permanent
       break;
     case faults::FaultKind::kBurstErrors:

@@ -130,8 +130,8 @@ double resident_mb() {
 }
 
 TEST(SwitchSim, PaperScaleConstructionStaysUnder300MB) {
-  // Table 1's 2048 ports with dual receivers, FLPPR and grant latency
-  // on: 4.2M VOQs and request-time FIFOs. ROADMAP item 2's target is
+  // Table 1's 2048 ports with dual receivers and FLPPR: 4.2M VOQs and
+  // as many request-time FIFOs. ROADMAP item 2's target is
   // hundreds of MB, not the 8 GB one container per queue took.
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
   GTEST_SKIP() << "sanitizer shadow memory inflates the resident set";
@@ -142,7 +142,6 @@ TEST(SwitchSim, PaperScaleConstructionStaysUnder300MB) {
   cfg.ports = 2048;
   cfg.sched.kind = SchedulerKind::kFlppr;
   cfg.sched.receivers = 2;
-  cfg.measure_grant_latency = true;
   SwitchSim sim(cfg, sim::make_uniform(cfg.ports, 0.6, 1));
   const double grown = resident_mb() - before;
   RecordProperty("construct_rss_mb", std::to_string(grown));
