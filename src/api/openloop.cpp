@@ -6,6 +6,21 @@
 
 namespace osmosis::api {
 
+namespace {
+
+// Operation mix: the fraction of requests issued one-sided, and of
+// those, the fraction that are reads.
+constexpr double kRmaFraction = 0.25;
+constexpr double kReadFraction = 0.25;
+// MMPP modulator: burst-state rate multiplier and per-slot transition
+// probabilities (geometric dwell: mean 1/p slots per state).
+constexpr double kMmppBurstFactor = 4.0;
+constexpr double kMmppPEnterBurst = 0.02;
+constexpr double kMmppPLeaveBurst = 0.08;
+constexpr double kDiurnalAmplitude = 0.6;
+
+}  // namespace
+
 const char* to_string(ArrivalKind k) {
   switch (k) {
     case ArrivalKind::kPoisson: return "poisson";
@@ -34,21 +49,8 @@ OpenLoopDriver::OpenLoopDriver(const OpenLoopConfig& cfg, int ports,
                   "tenants must be in 1..64");
   OSMOSIS_REQUIRE(cells_per_request >= 1, "request must be >= 1 cell");
   OSMOSIS_REQUIRE(cfg.load > 0.0, "open-loop load must be positive");
-  OSMOSIS_REQUIRE(cfg.rma_fraction >= 0.0 && cfg.rma_fraction <= 1.0 &&
-                      cfg.read_fraction >= 0.0 && cfg.read_fraction <= 1.0,
-                  "operation-mix fractions must be in [0, 1]");
-  OSMOSIS_REQUIRE(cfg.mmpp_burst_factor >= 1.0,
-                  "mmpp burst factor must be >= 1");
-  OSMOSIS_REQUIRE(cfg.mmpp_p_enter_burst > 0.0 &&
-                      cfg.mmpp_p_enter_burst <= 1.0 &&
-                      cfg.mmpp_p_leave_burst > 0.0 &&
-                      cfg.mmpp_p_leave_burst <= 1.0,
-                  "mmpp transition probabilities must be in (0, 1]");
   OSMOSIS_REQUIRE(cfg.diurnal_period_slots >= 2.0,
                   "diurnal period must be >= 2 slots");
-  OSMOSIS_REQUIRE(cfg.diurnal_amplitude >= 0.0 &&
-                      cfg.diurnal_amplitude < 1.0,
-                  "diurnal amplitude must be in [0, 1)");
   // Cell-load target -> aggregate request rate: each request occupies
   // cells_per_request slots on its source port's line.
   mean_rate_ = cfg.load * static_cast<double>(ports) /
@@ -84,22 +86,21 @@ double OpenLoopDriver::rate_for_slot(std::uint64_t slot) {
     case ArrivalKind::kMmpp: {
       // Advance the modulator once per slot (one bernoulli draw, always —
       // fixed draw order keeps the stream checkpoint-stable).
-      const double p = mmpp_burst_ ? cfg_.mmpp_p_leave_burst
-                                   : cfg_.mmpp_p_enter_burst;
+      const double p = mmpp_burst_ ? kMmppPLeaveBurst : kMmppPEnterBurst;
       if (rng_.bernoulli(p)) mmpp_burst_ = !mmpp_burst_;
       // Rates chosen so the stationary mean equals mean_rate_: the chain
       // spends pi_b = p_enter / (p_enter + p_leave) of its time bursting.
-      const double pi_b = cfg_.mmpp_p_enter_burst /
-                          (cfg_.mmpp_p_enter_burst + cfg_.mmpp_p_leave_burst);
+      const double pi_b =
+          kMmppPEnterBurst / (kMmppPEnterBurst + kMmppPLeaveBurst);
       const double base =
-          mean_rate_ / (1.0 + pi_b * (cfg_.mmpp_burst_factor - 1.0));
-      return mmpp_burst_ ? base * cfg_.mmpp_burst_factor : base;
+          mean_rate_ / (1.0 + pi_b * (kMmppBurstFactor - 1.0));
+      return mmpp_burst_ ? base * kMmppBurstFactor : base;
     }
     case ArrivalKind::kDiurnal: {
       const double phase = 2.0 * 3.14159265358979323846 *
                            static_cast<double>(slot) /
                            cfg_.diurnal_period_slots;
-      return mean_rate_ * (1.0 + cfg_.diurnal_amplitude * std::sin(phase));
+      return mean_rate_ * (1.0 + kDiurnalAmplitude * std::sin(phase));
     }
   }
   return mean_rate_;
@@ -126,8 +127,8 @@ void OpenLoopDriver::poll(std::uint64_t slot, std::vector<Request>& out) {
         (static_cast<std::uint64_t>(r.src) + 1 +
          h2 % static_cast<std::uint64_t>(ports_ - 1)) %
         static_cast<std::uint64_t>(ports_));
-    r.rma = rng_.bernoulli(cfg_.rma_fraction);
-    r.read = r.rma && rng_.bernoulli(cfg_.read_fraction);
+    r.rma = rng_.bernoulli(kRmaFraction);
+    r.read = r.rma && rng_.bernoulli(kReadFraction);
     out.push_back(r);
   }
 }

@@ -14,11 +14,15 @@
 //   poisson — Poisson(lambda), lambda chosen so the offered cell load
 //             matches the configured per-port load.
 //   mmpp    — 2-state Markov-modulated Poisson: a background state at a
-//             reduced rate and a burst state at burst_factor times it,
-//             with geometric dwell times. Same long-run mean as poisson.
-//   diurnal — Poisson with a sinusoidal rate envelope (period and
-//             amplitude configured) modeling a day/night load cycle
+//             reduced rate and a burst state at 4x it, with geometric
+//             dwell times. Same long-run mean as poisson.
+//   diurnal — Poisson with a sinusoidal rate envelope (configured
+//             period, amplitude 0.6) modeling a day/night load cycle
 //             compressed into the run.
+//
+// Every request carries kRequestBytes of payload; a quarter of them are
+// one-sided RMA operations (a quarter of those reads, the rest writes)
+// and the remainder are tagged two-sided sends.
 //
 // Determinism: one Rng drawn in a fixed order per slot; the diurnal
 // envelope is a pure function of the slot number. Checkpointable via
@@ -43,6 +47,9 @@ const char* to_string(ArrivalKind k);
 /// Parses "poisson" / "mmpp" / "diurnal"; returns false on anything else.
 bool parse_arrival(const std::string& name, ArrivalKind* out);
 
+/// Application payload per request, in bytes.
+inline constexpr double kRequestBytes = 512.0;
+
 struct OpenLoopConfig {
   std::int64_t clients = 0;  // 0 disables the driver (manual API only)
   int tenants = 4;           // tenant of client c is c % tenants
@@ -50,20 +57,8 @@ struct OpenLoopConfig {
   // Target offered load in cells per slot per port (line rate = 1.0).
   // Open loop: may exceed what the fabric can carry.
   double load = 0.5;
-  double request_bytes = 512.0;  // application payload per request
-  // Operation mix: fraction of requests issued one-sided, and of those,
-  // the fraction that are reads (the rest are writes). Remaining
-  // requests are tagged two-sided sends.
-  double rma_fraction = 0.25;
-  double read_fraction = 0.25;
-  // MMPP modulator: burst-state rate multiplier and per-slot transition
-  // probabilities (geometric dwell: mean 1/p slots per state).
-  double mmpp_burst_factor = 4.0;
-  double mmpp_p_enter_burst = 0.02;
-  double mmpp_p_leave_burst = 0.08;
-  // Diurnal envelope: rate scaled by 1 + amplitude * sin(2*pi*t/period).
+  // Diurnal envelope: rate scaled by 1 + 0.6 * sin(2*pi*t/period).
   double diurnal_period_slots = 4096.0;
-  double diurnal_amplitude = 0.6;
 };
 
 /// One generated request, before admission.

@@ -17,6 +17,8 @@ namespace {
 constexpr std::size_t kServerRecvDepth = 4;
 constexpr std::uint64_t kRecvRearmEvery = 4;
 constexpr std::uint64_t kMrBytesPerPort = 1 << 20;  // driver-mode MR size
+static_assert(static_cast<double>(kMrBytesPerPort) >= 2.0 * kRequestBytes,
+              "driver-mode MR must hold at least two requests");
 
 }  // namespace
 
@@ -79,7 +81,7 @@ ServeSim::ServeSim(ServeSimConfig cfg)
     tx_cqs_.emplace_back(cfg_.cq_capacity);
     rx_cqs_.emplace_back(cfg_.cq_capacity);
   }
-  cells_per_request_ = segmenters_[0].cells_for(cfg_.openloop.request_bytes);
+  cells_per_request_ = segmenters_[0].cells_for(kRequestBytes);
 
   t_offered_.assign(static_cast<std::size_t>(tenants_), 0);
   t_accepted_.assign(static_cast<std::size_t>(tenants_), 0);
@@ -109,10 +111,6 @@ ServeSim::ServeSim(ServeSimConfig cfg)
   if (cfg_.openloop.clients > 0) {
     driver_ = OpenLoopDriver(cfg_.openloop, ports, cells_per_request_,
                              cfg_.seed);
-    OSMOSIS_REQUIRE(
-        static_cast<double>(kMrBytesPerPort) >=
-            2.0 * cfg_.openloop.request_bytes,
-        "driver-mode MR must hold at least two requests");
     port_mr_key_.reserve(static_cast<std::size_t>(ports));
     for (int p = 0; p < ports; ++p)
       port_mr_key_.push_back(
@@ -301,7 +299,7 @@ void ServeSim::on_slot() {
 }
 
 void ServeSim::issue_request(const Request& r) {
-  const double bytes = cfg_.openloop.request_bytes;
+  const double bytes = kRequestBytes;
   // Tag carries (tenant, client): servers match wildcard, but the tag is
   // what a tenant-scoped receive would key on.
   const std::uint64_t tag =
@@ -313,8 +311,7 @@ void ServeSim::issue_request(const Request& r) {
         port_mr_key_[static_cast<std::size_t>(r.dst)];
     // Deterministic region placement: client-striped, always in bounds.
     const std::uint64_t span =
-        kMrBytesPerPort -
-        static_cast<std::uint64_t>(cfg_.openloop.request_bytes);
+        kMrBytesPerPort - static_cast<std::uint64_t>(kRequestBytes);
     const std::uint64_t offset =
         (static_cast<std::uint64_t>(r.client) * 4096) % std::max<std::uint64_t>(span, 1);
     if (r.read)
@@ -599,7 +596,7 @@ telemetry::RunReport ServeSim::report() const {
       driver_.active() ? cfg_.openloop.clients : 0);
   r.config["serving.tenants"] = static_cast<double>(tenants_);
   r.config["serving.cq_capacity"] = static_cast<double>(cfg_.cq_capacity);
-  r.config["serving.request_bytes"] = cfg_.openloop.request_bytes;
+  r.config["serving.request_bytes"] = kRequestBytes;
   r.config["serving.admission"] = cfg_.admission.enabled ? 1.0 : 0.0;
   if (driver_.active()) r.config["serving.load"] = cfg_.openloop.load;
   r.histograms["serving.latency"] =
