@@ -64,9 +64,8 @@ FabricSim::FabricSim(FabricSimConfig cfg,
     }
   }
 
-  chaos::MonitorConfig mc;
-  mc.expect_drain = cfg_.drain_max_slots > 0;
-  monitor_.configure(mc);
+  monitor_.configure({}, /*allow_stranded=*/false,
+                     /*expect_drain=*/cfg_.drain_max_slots > 0);
   monitor_.preset_flows(static_cast<std::size_t>(hosts_) *
                             static_cast<std::size_t>(hosts_),
                         static_cast<std::size_t>(hosts_));

@@ -36,17 +36,12 @@ MultiPlaneSim::MultiPlaneSim(
     OSMOSIS_REQUIRE(gen != nullptr && gen->ports() == cfg_.ports,
                     "per-plane traffic generator port mismatch");
 
-  {
-    chaos::MonitorConfig mc = cfg_.monitor;
-    mc.allow_stranded =
-        mc.allow_stranded || cfg_.fault_plan.has_permanent_fault();
-    mc.expect_drain = cfg_.drain_max_slots > 0;
-    monitor_.configure(mc);
-    // Sequences are global per (src, dst): one flow stripes all planes.
-    monitor_.preset_flows(static_cast<std::size_t>(cfg_.ports) *
-                              static_cast<std::size_t>(cfg_.ports),
-                          static_cast<std::size_t>(cfg_.ports));
-  }
+  monitor_.configure(cfg_.monitor, cfg_.fault_plan.has_permanent_fault(),
+                     cfg_.drain_max_slots > 0);
+  // Sequences are global per (src, dst): one flow stripes all planes.
+  monitor_.preset_flows(static_cast<std::size_t>(cfg_.ports) *
+                            static_cast<std::size_t>(cfg_.ports),
+                        static_cast<std::size_t>(cfg_.ports));
 
   planes_.resize(static_cast<std::size_t>(cfg_.planes));
   for (int p = 0; p < cfg_.planes; ++p) {
@@ -55,7 +50,6 @@ MultiPlaneSim::MultiPlaneSim(
     sc.kind = cfg_.scheduler;
     sc.ports = cfg_.ports;
     sc.receivers = cfg_.receivers;
-    sc.iterations = cfg_.scheduler_iterations;
     sc.seed = 0x12AE + static_cast<std::uint64_t>(p);
     plane.sched = sw::make_scheduler(sc);
     plane.voqs.reserve(static_cast<std::size_t>(cfg_.ports));
@@ -135,7 +129,6 @@ void MultiPlaneSim::apply_fault_transitions(std::uint64_t t) {
     sc.kind = cfg_.scheduler;
     sc.ports = cfg_.ports;
     sc.receivers = cfg_.receivers;
-    sc.iterations = cfg_.scheduler_iterations;
     sc.seed = 0x12AE + static_cast<std::uint64_t>(e.a);
     dead.sched = sw::make_scheduler(sc);
   }

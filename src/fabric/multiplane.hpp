@@ -32,8 +32,7 @@ struct MultiPlaneConfig {
   int ports = 16;   // host ports (each striped over all planes)
   int planes = 4;   // parallel switch planes
   sw::SchedulerKind scheduler = sw::SchedulerKind::kFlppr;
-  int receivers = 1;
-  int scheduler_iterations = 0;
+  int receivers = 1;  // each plane's scheduler runs its kind's default
   // Offered load PER PLANE LINE (so aggregate per-port load = planes x
   // load cells/slot).
   std::uint64_t warmup_slots = 1'000;

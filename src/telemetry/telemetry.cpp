@@ -2,10 +2,10 @@
 
 namespace osmosis::telemetry {
 
-Telemetry::Telemetry(const TelemetryConfig& cfg)
+Telemetry::Telemetry(const TelemetryConfig& cfg, HistShape shape)
     : cfg_(cfg),
-      trace_(cfg.ring_capacity, cfg.sample_every, cfg.max_open_spans),
-      stages_(cfg.hist_linear_limit, cfg.hist_growth),
+      trace_(cfg.ring_capacity, cfg.sample_every),
+      stages_(shape.linear_limit, shape.growth),
       series_(cfg.timeseries) {}
 
 RunReport Telemetry::make_report(const std::string& sim_name,

@@ -22,20 +22,26 @@ struct TelemetryConfig {
   bool enabled = false;
   std::uint32_t sample_every = 16;   // trace 1-in-N cells
   std::size_t ring_capacity = 4096;  // completed spans retained
-  std::size_t max_open_spans = 65536;
-  // Stage-histogram shape; raise linear_limit for ns-unit simulators.
-  double hist_linear_limit = 256.0;
-  double hist_growth = 1.25;
   // In-run time series (DESIGN.md §11). Off by default and independent
   // of `enabled` above: the sampler is driven by slot count only, so it
   // stays deterministic regardless of cell-trace sampling.
   prof::TimeSeriesConfig timeseries;
 };
 
+/// Stage-histogram shape: linear bins up to `linear_limit`, geometric
+/// bins growing by `growth` above it. Each engine passes the shape that
+/// suits its time unit.
+struct HistShape {
+  double linear_limit;
+  double growth;
+};
+inline constexpr HistShape kCycleHist{256.0, 1.25};  // cell cycles, slots
+inline constexpr HistShape kNsHist{8192.0, 1.1};     // nanoseconds
+
 class Telemetry {
  public:
-  Telemetry() : Telemetry(TelemetryConfig{}) {}
-  explicit Telemetry(const TelemetryConfig& cfg);
+  Telemetry() : Telemetry(TelemetryConfig{}, kCycleHist) {}
+  Telemetry(const TelemetryConfig& cfg, HistShape shape);
 
   bool enabled() const { return cfg_.enabled; }
 

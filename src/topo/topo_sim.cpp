@@ -41,10 +41,10 @@ TopoSimConfig leaf_spine_config(int radix) {
 TopoSim::TopoSim(TopoSimConfig cfg, std::unique_ptr<sim::TrafficGen> traffic)
     : cfg_(cfg),
       topo_(make_topology(cfg.topology, cfg.hosts, cfg.routing,
-                          cfg.failed_switches, cfg.host_cable_slots,
+                          cfg.failed_switches, kHostCableSlots,
                           cfg.trunk_cable_slots, cfg.levels)),
       traffic_(std::move(traffic)),
-      telem_(ring_if_tracing(cfg.telemetry)) {
+      telem_(ring_if_tracing(cfg.telemetry), telemetry::kCycleHist) {
   OSMOSIS_REQUIRE(cfg_.buffer_cells >= 1, "buffer_cells must be >= 1");
   if (wormhole()) {
     OSMOSIS_REQUIRE(cfg_.fc.lanes >= 1 && cfg_.fc.lane_flits >= 1 &&
@@ -74,13 +74,12 @@ TopoSim::TopoSim(TopoSimConfig cfg, std::unique_ptr<sim::TrafficGen> traffic)
     // Adaptive routing drains a permanent spine loss fully (the dead
     // spine keeps scheduling what it holds, queued cells re-steer); any
     // other permanent fault can legitimately strand cells.
-    chaos::MonitorConfig mc = cfg_.monitor;
+    bool stranded = false;
     for (const faults::FaultEvent& e : cfg_.fault_plan.events())
       if (!e.transient() && !(cfg_.adaptive_routing &&
                               e.kind == faults::FaultKind::kPlaneFailure))
-        mc.allow_stranded = true;
-    mc.expect_drain = cfg_.drain_max_slots > 0;
-    monitor_.configure(mc);
+        stranded = true;
+    monitor_.configure(cfg_.monitor, stranded, cfg_.drain_max_slots > 0);
   }
 
   const int lanes = cfg_.fc.lanes;
@@ -218,9 +217,7 @@ TopoSim::TopoSim(TopoSimConfig cfg, std::unique_ptr<sim::TrafficGen> traffic)
       admission_ = host::AdmissionControl(ac, topo_.hosts);
       admission_.set_capacity(m_, m_);
     }
-    telemetry::AvailabilityConfig av;
-    av.enabled = true;
-    avail_ = telemetry::AvailabilityTracker(av, m_);
+    avail_ = telemetry::AvailabilityTracker(m_);
   }
   if (traced())
     telem_.series().set_channels({"backlog", "host_backlog",
@@ -703,7 +700,7 @@ void TopoSim::step(std::uint64_t t, bool measuring, bool inject) {
       --credits;
     }
     host_out_[static_cast<std::size_t>(h)].push_back(
-        Timed{t + static_cast<std::uint64_t>(cfg_.host_cable_slots),
+        Timed{t + static_cast<std::uint64_t>(kHostCableSlots),
               f});
     q.pop_front();
   }
@@ -965,7 +962,7 @@ telemetry::RunReport TopoSim::report() const {
   r.sim = "TopoSim";
   r.time_unit = "cycles";
   r.config["hosts"] = static_cast<double>(topo_.hosts);
-  r.config["host_cable_slots"] = static_cast<double>(cfg_.host_cable_slots);
+  r.config["host_cable_slots"] = static_cast<double>(kHostCableSlots);
   r.config["trunk_cable_slots"] =
       static_cast<double>(cfg_.trunk_cable_slots);
   r.config["warmup_slots"] = static_cast<double>(cfg_.warmup_slots);

@@ -55,6 +55,9 @@
 
 namespace osmosis::topo {
 
+/// Flight time of a host <-> leaf cable, in slots.
+inline constexpr int kHostCableSlots = 1;
+
 struct TopoSimConfig {
   TopoKind topology = TopoKind::kFatTree;
   int hosts = 16;
@@ -70,8 +73,7 @@ struct TopoSimConfig {
   std::vector<int> failed_switches;
   FcParams fc;
   int buffer_cells = 16;  // input-buffer capacity per port (cell kinds)
-  int host_cable_slots = 1;
-  int trunk_cable_slots = 4;
+  int trunk_cable_slots = 4;  // host cables take kHostCableSlots
   // Cell kinds only: per-switch central scheduler. Must be an
   // immediate-issue kind (kIslip, kPim, kTdm, kWfa).
   sw::SchedulerKind scheduler = sw::SchedulerKind::kIslip;

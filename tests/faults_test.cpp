@@ -530,9 +530,8 @@ TEST(ChaosMonitorFires, DuplicateDeliveryAtFinish) {
 }
 
 TEST(ChaosMonitorFires, ReorderedDeliveryAtFinish) {
-  chaos::MonitorConfig cfg;
-  cfg.expect_drain = true;
-  chaos::InvariantMonitor m(cfg);
+  chaos::InvariantMonitor m;
+  m.configure({}, /*allow_stranded=*/false, /*expect_drain=*/true);
   for (int i = 0; i < 2; ++i) m.send(2);
   m.deliver(2, 1);  // out of order
   m.deliver(2, 0);
@@ -545,9 +544,9 @@ TEST(ChaosMonitorFires, ReorderedDeliveryAtFinish) {
 }
 
 TEST(ChaosMonitorFires, MissingAndStrandedAtFinish) {
-  chaos::MonitorConfig cfg;
-  cfg.expect_drain = true;  // run claims to have fully drained
-  chaos::InvariantMonitor m(cfg);
+  chaos::InvariantMonitor m;
+  // The run claims to have fully drained.
+  m.configure({}, /*allow_stranded=*/false, /*expect_drain=*/true);
   for (int i = 0; i < 3; ++i) m.send(4);
   m.deliver(4, 0);
   m.finish(20, /*residual_backlog=*/2);  // 2 stranded, no permanent fault
@@ -562,10 +561,9 @@ TEST(ChaosMonitorFires, MissingAndStrandedAtFinish) {
 }
 
 TEST(ChaosMonitorFires, AllowStrandedAcceptsPermanentFaultResidue) {
-  chaos::MonitorConfig cfg;
-  cfg.expect_drain = true;
-  cfg.allow_stranded = true;  // plan declared a permanent fault
-  chaos::InvariantMonitor m(cfg);
+  chaos::InvariantMonitor m;
+  // The plan declared a permanent fault.
+  m.configure({}, /*allow_stranded=*/true, /*expect_drain=*/true);
   for (int i = 0; i < 3; ++i) m.send(4);
   m.deliver(4, 0);
   m.finish(20, 2);  // same residue as above, now legitimate
@@ -573,9 +571,8 @@ TEST(ChaosMonitorFires, AllowStrandedAcceptsPermanentFaultResidue) {
 }
 
 TEST(ChaosMonitorFires, FinishIsIdempotent) {
-  chaos::MonitorConfig cfg;
-  cfg.expect_drain = true;
-  chaos::InvariantMonitor m(cfg);
+  chaos::InvariantMonitor m;
+  m.configure({}, /*allow_stranded=*/false, /*expect_drain=*/true);
   m.send(0);
   m.finish(5, 1);  // stranded: one violation
   const std::uint64_t first = m.violations();

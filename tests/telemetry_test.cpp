@@ -213,7 +213,7 @@ TEST(StageDecomposition, FabricSimLegsSumToMeanDelaySlots) {
   EXPECT_EQ(stages.count(), result.delivered);
   EXPECT_NEAR(stages.end_to_end().mean(), result.mean_delay_slots, 1e-9);
   // The final leg is at least the last cable flight.
-  EXPECT_GE(stages.transmit_to_deliver().min(), cfg.host_cable_slots);
+  EXPECT_GE(stages.transmit_to_deliver().min(), topo::kHostCableSlots);
   // Exact per-leg populations and means.
   EXPECT_EQ(result.delivered, 19884u);
   EXPECT_EQ(result.mean_delay_slots, 8.6475558237778554);
