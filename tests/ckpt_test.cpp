@@ -240,17 +240,61 @@ TEST(CkptResume, EventSwitchSimMidRunRestoreIsExact) {
   sw::EventSwitchSim a(cfg, sim::make_uniform(cfg.ports, 0.5, 7));
   const auto straight = a.run();
 
-  sw::EventSwitchSim b(cfg, sim::make_uniform(cfg.ports, 0.5, 7));
-  for (int i = 0; i < 5'000; ++i) ASSERT_TRUE(b.advance());  // mid-outage
+  // Advance 5,000 lands in cycle ~200, before the plan opens at 700;
+  // advance 25,000 lands in cycle ~1000, with all five faults open:
+  // module 7/1 dead, fiber 3 cut and adapter 12 stalled on the same
+  // input, so the snapshot holds a failed receiver and a mask of depth 2.
+  for (const int k : {5'000, 25'000}) {
+    SCOPED_TRACE(k);
+    sw::EventSwitchSim b(cfg, sim::make_uniform(cfg.ports, 0.5, 7));
+    for (int i = 0; i < k; ++i) ASSERT_TRUE(b.advance());
+    ckpt::Writer w;
+    b.save_state(w);
+
+    sw::EventSwitchSim c(cfg, sim::make_uniform(cfg.ports, 0.5, 7));
+    c.load_state(ckpt::Reader::from_bytes(w.serialize()));
+    const auto resumed = c.run();
+
+    EXPECT_EQ(straight.delivered, resumed.delivered);
+    EXPECT_EQ(straight.mean_delay_ns, resumed.mean_delay_ns);
+    EXPECT_EQ(report_bytes(a.report()), report_bytes(c.report()));
+  }
+}
+
+TEST(CkptResume, EventSwitchSimRestoresGrantsStaleAfterAModuleDeath) {
+  // Grants ride a 10-cycle control fiber, so when module 3/1 dies at
+  // cycle 300 some grants naming it are still in flight; they arrive
+  // stale and are retransmitted. A snapshot taken just after the death
+  // (advance 6,320; the death fires at 6,310) must restore the surviving
+  // receivers that make them stale.
+  sw::EventSwitchConfig cfg;
+  cfg.ports = 8;
+  cfg.sched.kind = sw::SchedulerKind::kFlppr;
+  cfg.sched.receivers = 2;
+  cfg.default_ctrl_ns = 10 * cfg.cell_ns;
+  cfg.warmup_ns = 100 * cfg.cell_ns;
+  cfg.measure_ns = 500 * cfg.cell_ns;
+  cfg.fault_plan.kill_module(300, 3, 1, 100);
+  cfg.drain_max_cycles = 5'000;
+
+  sw::EventSwitchSim a(cfg, sim::make_uniform(cfg.ports, 0.9, 7));
+  const auto straight = a.run();
+  EXPECT_EQ(straight.retransmissions, 2u);
+
+  sw::EventSwitchSim b(cfg, sim::make_uniform(cfg.ports, 0.9, 7));
+  for (int i = 0; i < 6'320; ++i) ASSERT_TRUE(b.advance());
+  ASSERT_EQ(b.health().event_log(),
+            std::vector<std::string>{"t=300 module/3/1 FAILED (injected)"});
   ckpt::Writer w;
   b.save_state(w);
 
-  sw::EventSwitchSim c(cfg, sim::make_uniform(cfg.ports, 0.5, 7));
+  sw::EventSwitchSim c(cfg, sim::make_uniform(cfg.ports, 0.9, 7));
   c.load_state(ckpt::Reader::from_bytes(w.serialize()));
   const auto resumed = c.run();
 
-  EXPECT_EQ(straight.delivered, resumed.delivered);
-  EXPECT_EQ(straight.mean_delay_ns, resumed.mean_delay_ns);
+  EXPECT_EQ(resumed.retransmissions, straight.retransmissions);
+  EXPECT_EQ(resumed.delivered, straight.delivered);
+  EXPECT_EQ(resumed.mean_delay_ns, straight.mean_delay_ns);
   EXPECT_EQ(report_bytes(a.report()), report_bytes(c.report()));
 }
 
