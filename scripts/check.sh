@@ -23,7 +23,8 @@
 # byte diffs, hold the §III app-to-app latency tables
 # (bench_app_latency) byte-identical to their committed baseline,
 # hold bench_failures' degraded-operation tables and its combined-fault
-# RunReport byte-identical to theirs,
+# RunReport byte-identical to theirs, and bench_multiplane's
+# plane-striping tables to theirs,
 # assert the §VI.C stage-count ordering with
 # bench_vi_c_stage_count and schema-check its topology report section,
 # assert the disabled-profiler overhead bound on
@@ -239,6 +240,14 @@ cmp "$repo/bench/baselines/failures_tables.txt" "$build/failures_tables.txt"
 cmp "$repo/bench/baselines/failures_combined.json" \
   "$build/failures_combined.json"
 echo "degraded-operation tables and combined report match their baselines"
+
+echo "== plane striping: bench_multiplane vs committed baseline =="
+# The plane-count and load sweeps of MultiPlaneSim are deterministic, so
+# the whole stdout is held byte for byte.
+"$build/bench/bench_multiplane" > "$build/multiplane_tables.txt"
+cmp "$repo/bench/baselines/multiplane_tables.txt" \
+  "$build/multiplane_tables.txt"
+echo "plane-striping tables match the committed baseline"
 
 echo "== VI.C stage-count matrix: 3 vs 5 vs 9 stages, ordering asserted =="
 # The binary itself REQUIREs the paper's ordering (fat tree >= MIN

@@ -768,6 +768,13 @@ TEST(MultiPlaneFaults, TransientPlaneLossResteersAndStaysInOrder) {
   EXPECT_EQ(r.faults_injected, 1u);
   EXPECT_EQ(r.faults_repaired, 1u);
   EXPECT_EQ(r.faults_recovered, 1u);
+  EXPECT_EQ(r.delivered, 95768u);
+  EXPECT_EQ(r.mean_delay_slots, 20.003811293960577);
+  EXPECT_EQ(r.resteered, 2u);
+  EXPECT_EQ(r.cross_plane_ooo, 24641u);
+  EXPECT_EQ(r.max_resequencer_depth, 137);
+  EXPECT_EQ(r.mean_recovery_slots, 314.0);
+  EXPECT_EQ(r.drained_slots, 3u);
 }
 
 TEST(MultiPlaneFaults, PermanentPlaneLossDegradesToTheSurvivors) {
@@ -783,6 +790,13 @@ TEST(MultiPlaneFaults, PermanentPlaneLossDegradesToTheSurvivors) {
   EXPECT_GT(r.resteered, 0u);
   EXPECT_EQ(r.post_resequencer_ooo, 0u);
   EXPECT_EQ(r.faults_repaired, 0u);
+  EXPECT_EQ(r.delivered, 76551u);
+  EXPECT_EQ(r.mean_delay_slots, 3.3469059842458293);
+  EXPECT_EQ(r.resteered, 2u);
+  EXPECT_EQ(r.cross_plane_ooo, 11922u);
+  EXPECT_EQ(r.max_resequencer_depth, 13);
+  EXPECT_EQ(r.mean_recovery_slots, 0.0);
+  EXPECT_EQ(r.drained_slots, 6u);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/fabric/multiplane.hpp"
+#include "src/sw/switch_sim.hpp"
 
 namespace osmosis::fabric {
 namespace {
@@ -63,6 +64,50 @@ TEST(MultiPlane, WorksWithPipelinedSchedulers) {
   const auto r = run_multiplane_uniform(cfg, 0.6, 13);
   EXPECT_NEAR(r.throughput_per_plane, 0.6, 0.02);
   EXPECT_EQ(r.post_resequencer_ooo, 0u);
+}
+
+TEST(MultiPlane, OnePlaneEqualsSwitchSim) {
+  // A one-plane port is one OSMOSIS switch: on the same traffic it must
+  // deliver exactly what SwitchSim delivers, at exactly the same delays.
+  // Plane 0's scheduler seed is 0x12AE; 128 ports runs the two-word
+  // PortSet path.
+  struct Case {
+    int ports;
+    sw::SchedulerKind kind;
+    int receivers;
+    double load;
+  };
+  std::vector<Case> cases;
+  for (int rx : {1, 2})
+    for (double load : {0.3, 0.6, 0.9})
+      cases.push_back({64, sw::SchedulerKind::kFlppr, rx, load});
+  for (int rx : {1, 2})
+    cases.push_back({128, sw::SchedulerKind::kFlppr, rx, 0.6});
+  for (auto kind : {sw::SchedulerKind::kIslip, sw::SchedulerKind::kPim,
+                    sw::SchedulerKind::kPipelinedIslip})
+    cases.push_back({64, kind, 1, 0.6});
+  for (const Case& c : cases) {
+    MultiPlaneConfig mp = base(c.ports, 1);
+    mp.scheduler = c.kind;
+    mp.receivers = c.receivers;
+    mp.measure_slots = 3'000;
+    sw::SwitchSimConfig ss;
+    ss.ports = c.ports;
+    ss.sched.kind = c.kind;
+    ss.sched.receivers = c.receivers;
+    ss.sched.seed = 0x12AE;
+    ss.warmup_slots = mp.warmup_slots;
+    ss.measure_slots = mp.measure_slots;
+    const auto plane = run_multiplane_uniform(mp, c.load, 42);
+    const auto single = sw::run_uniform(ss, c.load, 42);
+    SCOPED_TRACE(::testing::Message()
+                 << single.scheduler << ", " << c.ports << " ports, "
+                 << c.receivers << " rx, load " << c.load);
+    EXPECT_GT(plane.delivered, 0u);
+    EXPECT_EQ(plane.delivered, single.delivered);
+    EXPECT_EQ(plane.mean_delay_slots, single.mean_delay);
+    EXPECT_EQ(plane.p99_delay_slots, single.p99_delay);
+  }
 }
 
 TEST(MultiPlane, RejectsGeneratorMismatch) {
