@@ -8,7 +8,6 @@
 #include "src/fec/gf256.hpp"
 #include "src/fec/hamming272.hpp"
 #include "src/prof/profiler.hpp"
-#include "src/sim/event_queue.hpp"
 #include "src/sim/rng.hpp"
 #include "src/sim/traffic.hpp"
 #include "src/sw/portset.hpp"
@@ -89,14 +88,6 @@ void BM_GfMul(benchmark::State& state) {
   }
 }
 
-void BM_EventQueueScheduleFire(benchmark::State& state) {
-  sim::EventQueue q;
-  for (auto _ : state) {
-    q.schedule_in(1.0, [] {});
-    q.step();
-  }
-}
-
 void BM_PortSetNextCircular(benchmark::State& state) {
   sw::PortSet s(static_cast<int>(state.range(0)));
   s.set(static_cast<int>(state.range(0)) - 1);
@@ -174,7 +165,6 @@ BENCHMARK(BM_FecEncode);
 BENCHMARK(BM_FecDecodeClean);
 BENCHMARK(BM_FecDecodeWithError);
 BENCHMARK(BM_GfMul);
-BENCHMARK(BM_EventQueueScheduleFire);
 BENCHMARK(BM_PortSetNextCircular)->Arg(64)->Arg(256);
 BENCHMARK(BM_Rng);
 BENCHMARK(BM_SwitchSimRun)->Arg(0)->Arg(16)->Arg(1);

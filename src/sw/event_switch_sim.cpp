@@ -37,7 +37,7 @@ EventSwitchSim::EventSwitchSim(EventSwitchConfig cfg,
                                 "throughput"});
 
   // Arm the cell-cycle clock; seq 0 so the first cycle fires before any
-  // same-timestamp message (matching the old PeriodicProcess behavior).
+  // message scheduled for the same timestamp.
   Ev tick;
   tick.kind = EvKind::kCycle;
   push_event(tick);

@@ -1,8 +1,7 @@
 #pragma once
 // Event-driven single-stage switch simulation — the OMNeT++-style
 // environment the authors used for their §V delay/throughput analyses,
-// rebuilt on this library's discrete-event kernel with real time in
-// nanoseconds.
+// rebuilt on a checkpointable event heap with real time in nanoseconds.
 //
 // Two purposes:
 //  1. Cross-validation: with uniform (zero) control distances it must
@@ -140,8 +139,8 @@ class EventSwitchSim {
  private:
   // The event loop is a typed min-heap rather than closures so pending
   // events serialize: each Ev is plain data interpreted by fire_next().
-  // Ordering matches sim::EventQueue exactly — (time_ns, seq) with FIFO
-  // tie-break among equal timestamps.
+  // Events fire in (time_ns, seq) order: equal timestamps fire in the
+  // order they were scheduled.
   enum class EvKind : std::uint8_t {
     kCycle = 0,    // cell-cycle boundary: on_cycle(), then re-arm
     kRequest = 1,  // request lands at the scheduler; a=in, b=dst, d=issue time
