@@ -283,8 +283,9 @@ TEST(SpineRouteTable, FailureReSpreadsOnlyTheHomedFlows) {
   for (int dst = 0; dst < 64; ++dst) {
     const int sp = rt.route(dst);
     EXPECT_NE(sp, 1) << "dst " << dst;
-    if (dst % 4 != 1)
+    if (dst % 4 != 1) {
       EXPECT_EQ(sp, dst % 4) << "unaffected flow moved, dst " << dst;
+    }
   }
   // Deterministic: the same destination always takes the same detour.
   for (int dst = 1; dst < 64; dst += 4) EXPECT_EQ(rt.route(dst), rt.route(dst));
