@@ -43,6 +43,41 @@ set -euo pipefail
 repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build="${1:-$repo/build}"
 
+# SIGKILLs the background run $1 as soon as its first job_*.state.ckpt
+# lands in $2. State files appear by atomic rename, so the first one is
+# whole. Fails the stage if the run exits first or no state file shows
+# up within 60 s.
+kill_at_first_state() {
+  local victim="$1" dir="$2" polls=0
+  until compgen -G "$dir/job_*.state.ckpt" > /dev/null; do
+    if ! kill -0 "$victim" 2> /dev/null || [ "$polls" -ge 6000 ]; then
+      kill -9 "$victim" 2> /dev/null || true
+      wait "$victim" 2> /dev/null || true
+      echo "FAIL: no state file appeared in $dir before the run ended" >&2
+      exit 1
+    fi
+    polls=$((polls + 1))
+    sleep 0.01
+  done
+  kill -9 "$victim" 2> /dev/null || true
+  wait "$victim" 2> /dev/null || true
+}
+
+# Restores each surviving state file in $1, replays the same job from
+# scratch and walks both in lockstep; fails if the kill left none.
+replay_state_files() {
+  local f found=0
+  for f in "$1"/job_*.state.ckpt; do
+    [ -e "$f" ] || continue
+    found=1
+    "$build/bench/ckpt_verify" --state="$f" --stride=500
+  done
+  if [ "$found" = 0 ]; then
+    echo "FAIL: the kill left no state file in $1 to replay" >&2
+    exit 1
+  fi
+}
+
 echo "== configure =="
 cmake -B "$build" -S "$repo"
 
@@ -97,29 +132,18 @@ echo "byte-identical at 1 and 8 threads"
 echo "== kill-and-resume: SIGKILL mid-campaign, resume, byte-diff =="
 ck_dir="$build/ckpt_smoke"
 rm -rf "$ck_dir"
-# Start the checkpointing smoke campaign and SIGKILL it mid-flight. A
-# tiny --checkpoint-every keeps state files fresh so the kill always
-# lands with work outstanding.
+# Start the checkpointing smoke campaign and SIGKILL it once its first
+# state file lands. A tiny --checkpoint-every keeps state files fresh,
+# so the kill always lands with work outstanding.
 "$build/bench/bench_campaign" --smoke --timing=false \
   --checkpoint-dir="$ck_dir" --checkpoint-every=200 \
   --json="$build/campaign_killed.json" > /dev/null 2>&1 &
-victim=$!
-sleep 0.3
-kill -9 "$victim" 2> /dev/null || true
-wait "$victim" 2> /dev/null || true
+kill_at_first_state $! "$ck_dir"
 
 echo "== divergence-checking replay on surviving state files =="
 # Before the resume consumes them: restore each mid-flight snapshot,
 # replay the same job from scratch, and walk both in lockstep.
-found_state=0
-for f in "$ck_dir"/job_*.state.ckpt; do
-  [ -e "$f" ] || continue
-  found_state=1
-  "$build/bench/ckpt_verify" --state="$f" --stride=500
-done
-if [ "$found_state" = 0 ]; then
-  echo "note: the kill landed between checkpoints (no state file to replay)"
-fi
+replay_state_files "$ck_dir"
 
 "$build/bench/bench_campaign" --smoke --timing=false \
   --resume="$ck_dir" --checkpoint-every=200 \
@@ -151,14 +175,8 @@ rm -rf "$serve_ck_dir"
 "$build/bench/bench_serve" --smoke --timing=false \
   --checkpoint-dir="$serve_ck_dir" --checkpoint-every=200 \
   --json="$build/serve_killed.json" > /dev/null 2>&1 &
-victim=$!
-sleep 0.1
-kill -9 "$victim" 2> /dev/null || true
-wait "$victim" 2> /dev/null || true
-for f in "$serve_ck_dir"/job_*.state.ckpt; do
-  [ -e "$f" ] || continue
-  "$build/bench/ckpt_verify" --state="$f" --stride=500
-done
+kill_at_first_state $! "$serve_ck_dir"
+replay_state_files "$serve_ck_dir"
 "$build/bench/bench_serve" --smoke --timing=false \
   --resume="$serve_ck_dir" --checkpoint-every=200 \
   --json="$build/serve_resumed.json" > /dev/null
@@ -213,10 +231,7 @@ rm -rf "$topo_ck_dir"
 "$build/bench/bench_campaign" --topo --timing=false \
   --checkpoint-dir="$topo_ck_dir" --checkpoint-every=200 \
   --json="$build/topo_killed.json" > /dev/null 2>&1 &
-victim=$!
-sleep 0.3
-kill -9 "$victim" 2> /dev/null || true
-wait "$victim" 2> /dev/null || true
+kill_at_first_state $! "$topo_ck_dir"
 "$build/bench/bench_campaign" --topo --timing=false \
   --resume="$topo_ck_dir" --checkpoint-every=200 \
   --json="$build/topo_resumed.json" > /dev/null
