@@ -92,6 +92,33 @@ TEST(Cioq, SpeedupReducesDelayTowardOqFloor) {
   EXPECT_LT(oq.mean_delay, s3.mean_delay + 2.0);
 }
 
+TEST(Cioq, OutcomesArePinned) {
+  struct Pin {
+    int speedup;
+    int buffers;
+    double load;
+    std::uint64_t seed;
+    std::uint64_t delivered;
+    double mean_delay;
+    double violation_rate;
+    int max_output_occupancy;
+  };
+  for (const Pin& p :
+       {Pin{1, 8, 0.9, 33, 215805, 10.657250758786844,
+            0.092371555465832242, 1},
+        Pin{2, 1, 0.9, 37, 216004, 5.1247708375771577,
+            0.0033267966316760872, 1},
+        Pin{3, 4, 0.95, 39, 228089, 9.6835928080703546, 0.0, 4}}) {
+    const auto r =
+        run_cioq_uniform(cioq_config(p.speedup, p.buffers), p.load, p.seed);
+    SCOPED_TRACE(::testing::Message() << "speedup " << p.speedup);
+    EXPECT_EQ(r.delivered, p.delivered);
+    EXPECT_EQ(r.mean_delay, p.mean_delay);
+    EXPECT_EQ(r.work_conservation_violation_rate, p.violation_rate);
+    EXPECT_EQ(r.max_output_occupancy, p.max_output_occupancy);
+  }
+}
+
 // ---- Birkhoff-von-Neumann ---------------------------------------------------------
 
 TEST(Bvn, UnloadedDelayIsHalfPortCount) {
