@@ -15,15 +15,12 @@
 // in the switch.
 
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <vector>
 
 #include "src/sim/flow_ledger.hpp"
 #include "src/sim/stats.hpp"
 #include "src/sim/traffic.hpp"
-#include "src/sw/scheduler.hpp"
-#include "src/sw/voq.hpp"
+#include "src/sw/switch_core.hpp"
 
 namespace osmosis::baseline {
 
@@ -58,9 +55,7 @@ class CioqSwitch {
  private:
   CioqConfig cfg_;
   std::unique_ptr<sim::TrafficGen> traffic_;
-  std::unique_ptr<sw::Scheduler> sched_;
-  std::vector<sw::VoqBank> voqs_;
-  std::vector<std::deque<sw::Cell>> out_queue_;
+  sw::SwitchCore core_;  // iSLIP; the egress lines are the output buffers
   sim::FlowLedger ledger_;  // per (src, dst): sequences and order
 };
 

@@ -271,4 +271,14 @@ void io(Ar& a, std::unordered_map<K, V, H, E>& m) {
   }
 }
 
+// A component whose hooks are a virtual save_state(Sink&) const and
+// load_state(Source&) pair (schedulers, traffic generators).
+template <class Ar, class T>
+void save_or_load(Ar& a, T& component) {
+  if constexpr (Ar::kLoading)
+    component.load_state(a);
+  else
+    component.save_state(a);
+}
+
 }  // namespace osmosis::ckpt

@@ -80,4 +80,17 @@ void read_chunk(const Reader& r, std::string_view name, F&& f) {
   s.expect_end();
 }
 
+/// One chunk list for both directions: a component lists its chunks once
+/// in a template over the Writer or the Reader, so save and load cannot
+/// drift apart. `f` takes `auto&`, a Sink when saving and a Source when
+/// loading.
+template <class F>
+void chunk(Writer& w, std::string name, F&& f) {
+  write_chunk(w, std::move(name), f);
+}
+template <class F>
+void chunk(const Reader& r, std::string_view name, F&& f) {
+  read_chunk(r, name, f);
+}
+
 }  // namespace osmosis::ckpt

@@ -43,19 +43,13 @@ MultiPlaneSim::MultiPlaneSim(
                             static_cast<std::size_t>(cfg_.ports),
                         static_cast<std::size_t>(cfg_.ports));
 
-  planes_.resize(static_cast<std::size_t>(cfg_.planes));
+  planes_.reserve(static_cast<std::size_t>(cfg_.planes));
   for (int p = 0; p < cfg_.planes; ++p) {
-    Plane& plane = planes_[static_cast<std::size_t>(p)];
     sw::SchedulerConfig sc;
     sc.kind = cfg_.scheduler;
-    sc.ports = cfg_.ports;
     sc.receivers = cfg_.receivers;
     sc.seed = 0x12AE + static_cast<std::uint64_t>(p);
-    plane.sched = sw::make_scheduler(sc);
-    plane.voqs.reserve(static_cast<std::size_t>(cfg_.ports));
-    for (int in = 0; in < cfg_.ports; ++in)
-      plane.voqs.emplace_back(in, cfg_.ports);
-    plane.egress.resize(static_cast<std::size_t>(cfg_.ports));
+    planes_.emplace_back(cfg_.ports, sc);
   }
   next_seq_.assign(static_cast<std::size_t>(cfg_.ports) *
                        static_cast<std::size_t>(cfg_.ports),
@@ -104,43 +98,23 @@ void MultiPlaneSim::apply_fault_transitions(std::uint64_t t) {
     if (!tr.begin) continue;
     // Re-steer: the VOQs live in the ingress adapters, not the plane, so
     // their cells survive the plane loss. Move them (FIFO per VOQ) to
-    // the next live plane and re-file the requests there; the egress
-    // resequencer absorbs the resulting cross-plane reordering. The
-    // plane's egress buffers sit in the egress adapters and keep
+    // the next live plane's core, which re-files the requests; the
+    // egress resequencer absorbs the resulting cross-plane reordering.
+    // The plane's egress buffers sit in the egress adapters and keep
     // draining.
-    Plane& dead = planes_[static_cast<std::size_t>(e.a)];
-    const int target = next_live_plane(e.a);
-    Plane& live = planes_[static_cast<std::size_t>(target)];
-    for (int in = 0; in < cfg_.ports; ++in) {
-      for (int dst = 0; dst < cfg_.ports; ++dst) {
-        while (dead.voqs[static_cast<std::size_t>(in)].occupancy(dst) > 0) {
-          const sw::Cell cell =
-              dead.voqs[static_cast<std::size_t>(in)].pop(dst);
-          live.voqs[static_cast<std::size_t>(in)].push(cell);
-          live.sched->request(in, dst);
-          ++resteered_;
-        }
-      }
-    }
+    sw::SwitchCore& dead = planes_[static_cast<std::size_t>(e.a)];
+    resteered_ +=
+        planes_[static_cast<std::size_t>(next_live_plane(e.a))].absorb(dead);
     // The failed plane's scheduler card is replaced along with the
-    // plane: rebuild it so stale demand for the re-steered cells can't
-    // produce phantom grants after a revival.
-    sw::SchedulerConfig sc;
-    sc.kind = cfg_.scheduler;
-    sc.ports = cfg_.ports;
-    sc.receivers = cfg_.receivers;
-    sc.seed = 0x12AE + static_cast<std::uint64_t>(e.a);
-    dead.sched = sw::make_scheduler(sc);
+    // plane, so stale demand for the re-steered cells can't produce
+    // phantom grants after a revival.
+    dead.replace_scheduler();
   }
 }
 
 std::uint64_t MultiPlaneSim::backlog() const {
   std::uint64_t total = 0;
-  for (const auto& plane : planes_) {
-    for (const auto& v : plane.voqs)
-      total += static_cast<std::uint64_t>(v.total_occupancy());
-    for (const auto& q : plane.egress) total += q.size();
-  }
+  for (const sw::SwitchCore& plane : planes_) total += plane.backlog();
   for (const auto& park : parked_) total += park.size();
   return total;
 }
@@ -209,21 +183,18 @@ void MultiPlaneSim::step(std::uint64_t t, bool measuring,
       const int lane = plane_down_[static_cast<std::size_t>(p)]
                            ? next_live_plane(p)
                            : p;
-      Plane& plane = planes_[static_cast<std::size_t>(lane)];
+      sw::SwitchCore& plane = planes_[static_cast<std::size_t>(lane)];
       for (int in = 0; in < n; ++in) {
         sim::Arrival a;
         if (!traffic_[static_cast<std::size_t>(p)]->sample(in, a)) continue;
-        const std::size_t flow = static_cast<std::size_t>(in) *
-                                     static_cast<std::size_t>(n) +
-                                 static_cast<std::size_t>(a.dst);
         sw::Cell cell;
         cell.src = in;
         cell.dst = a.dst;
-        cell.seq = monitor_.send(flow);
+        cell.seq = monitor_.send(plane.pair_index(in, a.dst));
         cell.arrival_slot = t;
         ++offered_;
-        plane.voqs[static_cast<std::size_t>(in)].push(cell);
-        plane.sched->request(in, a.dst);
+        plane.enqueue(cell);
+        plane.scheduler().request(in, a.dst);
       }
     }
   }
@@ -234,12 +205,9 @@ void MultiPlaneSim::step(std::uint64_t t, bool measuring,
   OSMOSIS_PROF_SCOPE("multiplane.sched");
   for (int p = 0; p < cfg_.planes; ++p) {
     if (plane_down_[static_cast<std::size_t>(p)]) continue;
-    Plane& plane = planes_[static_cast<std::size_t>(p)];
-    for (const sw::Grant& g : plane.sched->tick()) {
-      sw::Cell cell =
-          plane.voqs[static_cast<std::size_t>(g.input)].pop(g.output);
-      plane.egress[static_cast<std::size_t>(g.output)].push_back(cell);
-    }
+    sw::SwitchCore& plane = planes_[static_cast<std::size_t>(p)];
+    for (const sw::Grant& g : plane.scheduler().tick())
+      plane.land(plane.take(g));
   }
   }
 
@@ -247,18 +215,14 @@ void MultiPlaneSim::step(std::uint64_t t, bool measuring,
   //    slot — the P physical lanes of the port).
   {
   OSMOSIS_PROF_SCOPE("multiplane.egress");
-  for (auto& plane : planes_) {
-    for (int out = 0; out < n; ++out) {
-      auto& q = plane.egress[static_cast<std::size_t>(out)];
-      if (q.empty()) continue;
-      const sw::Cell cell = q.front();
-      q.pop_front();
-      if (cell.seq != next_seq_[static_cast<std::size_t>(out) *
+  for (sw::SwitchCore& plane : planes_) {
+    plane.depart([&](const sw::Cell& cell) {
+      if (cell.seq != next_seq_[static_cast<std::size_t>(cell.dst) *
                                     static_cast<std::size_t>(n) +
                                 static_cast<std::size_t>(cell.src)])
         ++cross_plane_ooo_;
       park(cell, t);
-    }
+    });
   }
   for (int out = 0; out < n; ++out) deliver_in_order(out, t, measuring);
   }
@@ -440,6 +404,21 @@ void MultiPlaneSim::io_resequencers(Ar& a) {
   }
 }
 
+// Wire shape: a u64 plane count, then per plane its scheduler, its VOQ
+// list and its egress lines.
+template <class Ar>
+void MultiPlaneSim::io_planes(Ar& a) {
+  std::uint64_t n = planes_.size();
+  ckpt::field(a, n);
+  if (n != planes_.size())
+    throw ckpt::Error("plane count mismatch in checkpoint");
+  for (sw::SwitchCore& plane : planes_) {
+    plane.io_scheduler(a);
+    plane.io_voqs(a);
+    plane.io_egress(a);
+  }
+}
+
 template <class Ar>
 void MultiPlaneSim::io_stats(Ar& a) {
   ckpt::field(a, delay_hist_);
@@ -453,65 +432,28 @@ void MultiPlaneSim::io_stats(Ar& a) {
   ckpt::field(a, health_);
 }
 
-void MultiPlaneSim::save_state(ckpt::Writer& w) const {
-  auto* self = const_cast<MultiPlaneSim*>(this);
-  ckpt::write_chunk(w, "multiplane.core",
-                    [&](ckpt::Sink& s) { self->io_core(s); });
-  ckpt::write_chunk(w, "multiplane.traffic", [&](ckpt::Sink& s) {
+template <class Io>
+void MultiPlaneSim::io_chunks(Io& io) {
+  ckpt::chunk(io, "multiplane.core", [&](auto& s) { io_core(s); });
+  ckpt::chunk(io, "multiplane.traffic", [&](auto& s) {
     std::uint64_t n = traffic_.size();
-    ckpt::field(s, n);
-    for (const auto& gen : traffic_) gen->save_state(s);
-  });
-  ckpt::write_chunk(w, "multiplane.planes", [&](ckpt::Sink& s) {
-    std::uint64_t n = planes_.size();
-    ckpt::field(s, n);
-    for (auto& plane : self->planes_) {
-      plane.sched->save_state(s);
-      std::uint64_t nv = plane.voqs.size();
-      ckpt::field(s, nv);
-      for (auto& v : plane.voqs) ckpt::field(s, v);
-      ckpt::field(s, plane.egress);
-    }
-  });
-  ckpt::write_chunk(w, "multiplane.stats",
-                    [&](ckpt::Sink& s) { self->io_stats(s); });
-  if (injector_)
-    ckpt::write_chunk(w, "multiplane.faults", [&](ckpt::Sink& s) {
-      ckpt::field(s, *self->injector_);
-    });
-}
-
-void MultiPlaneSim::load_state(const ckpt::Reader& r) {
-  ckpt::read_chunk(r, "multiplane.core",
-                   [&](ckpt::Source& s) { io_core(s); });
-  ckpt::read_chunk(r, "multiplane.traffic", [&](ckpt::Source& s) {
-    std::uint64_t n = 0;
     ckpt::field(s, n);
     if (n != traffic_.size())
       throw ckpt::Error("plane traffic count mismatch in checkpoint");
-    for (auto& gen : traffic_) gen->load_state(s);
+    for (auto& gen : traffic_) ckpt::save_or_load(s, *gen);
   });
-  ckpt::read_chunk(r, "multiplane.planes", [&](ckpt::Source& s) {
-    std::uint64_t n = 0;
-    ckpt::field(s, n);
-    if (n != planes_.size())
-      throw ckpt::Error("plane count mismatch in checkpoint");
-    for (auto& plane : planes_) {
-      plane.sched->load_state(s);
-      std::uint64_t nv = 0;
-      ckpt::field(s, nv);
-      if (nv != plane.voqs.size())
-        throw ckpt::Error("plane VOQ bank count mismatch in checkpoint");
-      for (auto& v : plane.voqs) ckpt::field(s, v);
-      ckpt::field(s, plane.egress);
-    }
-  });
-  ckpt::read_chunk(r, "multiplane.stats",
-                   [&](ckpt::Source& s) { io_stats(s); });
+  ckpt::chunk(io, "multiplane.planes", [&](auto& s) { io_planes(s); });
+  ckpt::chunk(io, "multiplane.stats", [&](auto& s) { io_stats(s); });
   if (injector_)
-    ckpt::read_chunk(r, "multiplane.faults",
-                     [&](ckpt::Source& s) { ckpt::field(s, *injector_); });
+    ckpt::chunk(io, "multiplane.faults",
+                [&](auto& s) { ckpt::field(s, *injector_); });
 }
+
+void MultiPlaneSim::save_state(ckpt::Writer& w) const {
+  const_cast<MultiPlaneSim*>(this)->io_chunks(w);
+}
+
+void MultiPlaneSim::load_state(const ckpt::Reader& r) { io_chunks(r); }
 
 MultiPlaneResult run_multiplane_uniform(const MultiPlaneConfig& cfg,
                                         double load_per_plane,

@@ -7,10 +7,11 @@
 // queueing, so cells of one flow can cross each other BETWEEN planes;
 // the egress resequencing buffer restores the Table 1 ordering
 // guarantee, and its depth/extra delay is the price of striping, which
-// this simulator measures.
+// this simulator measures. Each plane is one sw::SwitchCore, the data
+// path SwitchSim runs; this engine adds the striping, the plane-failure
+// re-steer and the resequencers.
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -24,7 +25,7 @@
 #include "src/sim/stats.hpp"
 #include "src/sim/traffic.hpp"
 #include "src/sw/scheduler.hpp"
-#include "src/sw/voq.hpp"
+#include "src/sw/switch_core.hpp"
 
 namespace osmosis::fabric {
 
@@ -111,11 +112,6 @@ class MultiPlaneSim {
   const chaos::InvariantMonitor& monitor() const { return monitor_; }
 
  private:
-  struct Plane {
-    std::unique_ptr<sw::Scheduler> sched;
-    std::vector<sw::VoqBank> voqs;
-    std::vector<std::deque<sw::Cell>> egress;
-  };
   struct Parked {
     sw::Cell cell;
     std::uint64_t egress_slot = 0;  // when it left the plane
@@ -138,11 +134,16 @@ class MultiPlaneSim {
   template <class Ar>
   void io_resequencers(Ar& a);
   template <class Ar>
+  void io_planes(Ar& a);
+  template <class Ar>
   void io_stats(Ar& a);
+  /// Every chunk, in order: saves to a Writer, loads from a Reader.
+  template <class Io>
+  void io_chunks(Io& io);
 
   MultiPlaneConfig cfg_;
   std::vector<std::unique_ptr<sim::TrafficGen>> traffic_;
-  std::vector<Plane> planes_;
+  std::vector<sw::SwitchCore> planes_;
   std::uint64_t now_ = 0;  // next slot advance_slot() will run
   // Resequencers, one per egress port. next_seq_[dst * ports + src] is
   // flow (src, dst)'s next in-order sequence; parked_[dst] holds the

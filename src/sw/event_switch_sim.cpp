@@ -13,22 +13,18 @@ EventSwitchSim::EventSwitchSim(EventSwitchConfig cfg,
                                std::unique_ptr<sim::TrafficGen> traffic)
     : cfg_(cfg),
       traffic_(std::move(traffic)),
+      core_(cfg.ports, cfg.sched),
       faults_(cfg.ports, cfg.sched.receivers, cfg.fault_plan),
       telem_(cfg.telemetry, telemetry::kNsHist) {
   OSMOSIS_REQUIRE(cfg_.cell_ns > 0.0, "cell cycle must be positive");
   OSMOSIS_REQUIRE(traffic_ != nullptr && traffic_->ports() == cfg_.ports,
                   "traffic generator port mismatch");
-  cfg_.sched.ports = cfg_.ports;
-  sched_ = make_scheduler(cfg_.sched);
   monitor_.configure(cfg_.monitor, faults_.may_strand(),
                      cfg_.drain_max_cycles > 0);
   // One sequence stream per (input, output, traffic class).
   monitor_.preset_flows(static_cast<std::size_t>(cfg_.ports) *
                             static_cast<std::size_t>(cfg_.ports) * 2,
                         static_cast<std::size_t>(cfg_.ports) * 2);
-  voqs_.reserve(static_cast<std::size_t>(cfg_.ports));
-  for (int in = 0; in < cfg_.ports; ++in) voqs_.emplace_back(in, cfg_.ports);
-  egress_.resize(static_cast<std::size_t>(cfg_.ports));
   request_times_ = FifoPool<double>(static_cast<std::size_t>(cfg_.ports) *
                                     static_cast<std::size_t>(cfg_.ports));
   delivered_per_port_.assign(static_cast<std::size_t>(cfg_.ports), 0);
@@ -69,11 +65,7 @@ void EventSwitchSim::fire_next() {
       }
       break;
     case EvKind::kRequest:
-      sched_->request(e.a, e.b);
-      request_times_.push_back(static_cast<std::size_t>(e.a) *
-                                       static_cast<std::size_t>(cfg_.ports) +
-                                   static_cast<std::size_t>(e.b),
-                               e.d);
+      request(e.a, e.b, e.d);
       break;
     case EvKind::kGrant: {
       Grant g;
@@ -85,25 +77,18 @@ void EventSwitchSim::fire_next() {
     }
     case EvKind::kRetry:
       --retry_pending_;
-      sched_->request(e.a, e.b);
-      request_times_.push_back(static_cast<std::size_t>(e.a) *
-                                       static_cast<std::size_t>(cfg_.ports) +
-                                   static_cast<std::size_t>(e.b),
-                               now_ns_);
+      request(e.a, e.b, now_ns_);
       break;
     case EvKind::kLanding:
       --in_flight_;
-      egress_[static_cast<std::size_t>(e.cell.dst)].push_back(e.cell);
+      core_.land(e.cell);
       break;
   }
 }
 
-std::uint64_t EventSwitchSim::backlog() const {
-  std::uint64_t total = in_flight_ + retry_pending_;
-  for (const auto& v : voqs_)
-    total += static_cast<std::uint64_t>(v.total_occupancy());
-  for (const auto& q : egress_) total += q.size();
-  return total;
+void EventSwitchSim::request(int in, int out, double issued_ns) {
+  core_.scheduler().request(in, out);
+  request_times_.push_back(core_.pair_index(in, out), issued_ns);
 }
 
 double EventSwitchSim::ctrl_ns(int adapter) const {
@@ -135,8 +120,7 @@ void EventSwitchSim::on_grant_arrival(Grant g, double requested_at) {
   }
   grant_ns_.add(now - requested_at);
 
-  Cell cell = voqs_[static_cast<std::size_t>(g.input)].pop(g.output);
-  OSMOSIS_REQUIRE(cell.dst == g.output, "VOQ returned a mis-routed cell");
+  Cell cell = core_.take(g);
   telem_.mark(cell.trace, telemetry::Stage::kGrant, now);
 
   // The cell launches with the next cell-cycle boundary after the grant
@@ -167,7 +151,8 @@ void EventSwitchSim::on_cycle() {
   // 0. Scheduled faults begin / get repaired at the cycle boundary.
   if (faults_.active()) {
     OSMOSIS_PROF_SCOPE("event.faults");
-    faults_.tick(cycle_, *sched_, nullptr, [this] { return backlog(); });
+    faults_.tick(cycle_, core_.scheduler(), nullptr,
+                 [this] { return backlog(); });
   }
 
   // 1. Arrivals this cycle; requests fly to the scheduler.
@@ -176,21 +161,16 @@ void EventSwitchSim::on_cycle() {
   for (int in = 0; in < cfg_.ports && !draining_; ++in) {
     sim::Arrival a;
     if (!traffic_->sample(in, a)) continue;
-    const std::size_t flow =
-        (static_cast<std::size_t>(in) * static_cast<std::size_t>(cfg_.ports) +
-         static_cast<std::size_t>(a.dst)) *
-            2 +
-        (a.cls == sim::TrafficClass::kControl ? 0 : 1);
     Cell cell;
     cell.src = in;
     cell.dst = a.dst;
-    cell.seq = monitor_.send(flow);
     cell.arrival_slot = cycle_;
     cell.cls = a.cls;
+    cell.seq = monitor_.send(core_.flow(cell));
     cell.trace = telem_.begin_cell(in, a.dst, now);
     telem_.mark(cell.trace, telemetry::Stage::kRequest, now + ctrl_ns(in));
     ++offered_;
-    voqs_[static_cast<std::size_t>(in)].push(cell);
+    core_.enqueue(cell);
     Ev req;
     req.time_ns = now + ctrl_ns(in);
     req.kind = EvKind::kRequest;
@@ -204,10 +184,8 @@ void EventSwitchSim::on_cycle() {
   // 2. The central scheduler arbitrates once per cycle; grants fly back.
   {
   OSMOSIS_PROF_SCOPE("event.sched");
-  for (const Grant& g : sched_->tick()) {
-    const std::size_t voq = static_cast<std::size_t>(g.input) *
-                                static_cast<std::size_t>(cfg_.ports) +
-                            static_cast<std::size_t>(g.output);
+  for (const Grant& g : core_.scheduler().tick()) {
+    const std::size_t voq = core_.pair_index(g.input, g.output);
     OSMOSIS_REQUIRE(!request_times_.empty(voq),
                     "grant without outstanding request");
     const double requested_at = request_times_.pop_front(voq);
@@ -226,19 +204,8 @@ void EventSwitchSim::on_cycle() {
   const bool measuring = now >= cfg_.warmup_ns;
   {
   OSMOSIS_PROF_SCOPE("event.egress");
-  for (int out = 0; out < cfg_.ports; ++out) {
-    auto& q = egress_[static_cast<std::size_t>(out)];
-    if (q.empty()) continue;
-    const Cell cell = q.front();
-    q.pop_front();
-    const int cls_bit = cell.cls == sim::TrafficClass::kControl ? 0 : 1;
-    monitor_.deliver(
-        (static_cast<std::uint64_t>(cell.src) *
-             static_cast<std::uint64_t>(cfg_.ports) +
-         static_cast<std::uint64_t>(cell.dst)) *
-                2 +
-            static_cast<std::uint64_t>(cls_bit),
-        cell.seq);
+  core_.depart([&](const Cell& cell) {
+    monitor_.deliver(core_.flow(cell), cell.seq);
     telem_.finish_cell(cell.trace, now + cfg_.cell_ns, measuring);
     ++total_delivered_;
     if (measuring) {
@@ -247,9 +214,9 @@ void EventSwitchSim::on_cycle() {
           static_cast<double>(cell.arrival_slot) * cfg_.cell_ns;
       delay_ns_.add(delay);
       meter_.add_delivery();
-      ++delivered_per_port_[static_cast<std::size_t>(out)];
+      ++delivered_per_port_[static_cast<std::size_t>(cell.dst)];
     }
-  }
+  });
   }
   if (measuring) meter_.advance_slots(1, static_cast<std::uint64_t>(cfg_.ports));
 
@@ -329,15 +296,6 @@ void EventSwitchSim::sample_series(std::uint64_t cycle) {
   prof::TimeSeriesSampler& s = telem_.series();
   if (!s.due(cycle)) return;
   OSMOSIS_PROF_SCOPE("event.telemetry");
-  std::uint64_t voq_total = 0;
-  std::uint64_t voq_max = 0;
-  for (const auto& v : voqs_) {
-    const auto occ = static_cast<std::uint64_t>(v.total_occupancy());
-    voq_total += occ;
-    voq_max = std::max(voq_max, occ);
-  }
-  std::uint64_t egress_total = 0;
-  for (const auto& q : egress_) egress_total += q.size();
   const std::uint64_t dcycles = cycle - last_sample_cycle_;
   const double ddeliv =
       static_cast<double>(total_delivered_ - last_sample_delivered_);
@@ -346,8 +304,10 @@ void EventSwitchSim::sample_series(std::uint64_t cycle) {
                           static_cast<double>(cfg_.ports))
               : 0.0;
   s.record(cycle,
-           {static_cast<double>(backlog()), static_cast<double>(voq_total),
-            static_cast<double>(voq_max), static_cast<double>(egress_total),
+           {static_cast<double>(backlog()),
+            static_cast<double>(core_.voq_backlog()),
+            static_cast<double>(core_.max_bank_backlog()),
+            static_cast<double>(core_.egress_backlog()),
             static_cast<double>(in_flight_),
             static_cast<double>(retry_pending_), thr});
   last_sample_cycle_ = cycle;
@@ -418,7 +378,7 @@ void EventSwitchSim::io_core(Ar& a) {
   ckpt::field(a, retry_pending_);
   monitor_.io_flow_seq(a);
   ckpt::field(a, request_times_);
-  ckpt::field(a, egress_);
+  core_.io_egress(a);
   ckpt::field(a, slot_bookings_);
   faults_.io_masks(a);
   ckpt::field(a, receiver_conflicts_);
@@ -428,11 +388,6 @@ void EventSwitchSim::io_core(Ar& a) {
   ckpt::field(a, total_delivered_);
   ckpt::field(a, last_sample_cycle_);
   ckpt::field(a, last_sample_delivered_);
-  if constexpr (Ar::kLoading) {
-    if (egress_.size() != static_cast<std::size_t>(cfg_.ports))
-      throw ckpt::Error("event-switch state sized for a different port "
-                        "count");
-  }
 }
 
 template <class Ar>
@@ -445,48 +400,25 @@ void EventSwitchSim::io_stats(Ar& a) {
   faults_.io_health(a);
 }
 
-void EventSwitchSim::save_state(ckpt::Writer& w) const {
-  auto* self = const_cast<EventSwitchSim*>(this);
-  ckpt::write_chunk(w, "event.core",
-                    [&](ckpt::Sink& s) { self->io_core(s); });
-  ckpt::write_chunk(w, "event.traffic",
-                    [&](ckpt::Sink& s) { traffic_->save_state(s); });
-  ckpt::write_chunk(w, "event.sched",
-                    [&](ckpt::Sink& s) { sched_->save_state(s); });
-  ckpt::write_chunk(w, "event.voq", [&](ckpt::Sink& s) {
-    std::uint64_t n = voqs_.size();
-    ckpt::field(s, n);
-    for (auto& v : self->voqs_) ckpt::field(s, v);
-  });
-  ckpt::write_chunk(w, "event.stats",
-                    [&](ckpt::Sink& s) { self->io_stats(s); });
+template <class Io>
+void EventSwitchSim::io_chunks(Io& io) {
+  ckpt::chunk(io, "event.core", [&](auto& s) { io_core(s); });
+  ckpt::chunk(io, "event.traffic",
+              [&](auto& s) { ckpt::save_or_load(s, *traffic_); });
+  ckpt::chunk(io, "event.sched", [&](auto& s) { core_.io_scheduler(s); });
+  ckpt::chunk(io, "event.voq", [&](auto& s) { core_.io_voqs(s); });
+  ckpt::chunk(io, "event.stats", [&](auto& s) { io_stats(s); });
   if (faults_.active())
-    ckpt::write_chunk(w, "event.faults",
-                      [&](ckpt::Sink& s) { self->faults_.io_injector(s); });
-  ckpt::write_chunk(w, "event.telemetry",
-                    [&](ckpt::Sink& s) { ckpt::field(s, self->telem_); });
+    ckpt::chunk(io, "event.faults", [&](auto& s) { faults_.io_injector(s); });
+  ckpt::chunk(io, "event.telemetry",
+              [&](auto& s) { ckpt::field(s, telem_); });
 }
 
-void EventSwitchSim::load_state(const ckpt::Reader& r) {
-  ckpt::read_chunk(r, "event.core", [&](ckpt::Source& s) { io_core(s); });
-  ckpt::read_chunk(r, "event.traffic",
-                   [&](ckpt::Source& s) { traffic_->load_state(s); });
-  ckpt::read_chunk(r, "event.sched",
-                   [&](ckpt::Source& s) { sched_->load_state(s); });
-  ckpt::read_chunk(r, "event.voq", [&](ckpt::Source& s) {
-    std::uint64_t n = 0;
-    ckpt::field(s, n);
-    if (n != voqs_.size())
-      throw ckpt::Error("VOQ bank count mismatch in checkpoint");
-    for (auto& v : voqs_) ckpt::field(s, v);
-  });
-  ckpt::read_chunk(r, "event.stats", [&](ckpt::Source& s) { io_stats(s); });
-  if (faults_.active())
-    ckpt::read_chunk(r, "event.faults",
-                     [&](ckpt::Source& s) { faults_.io_injector(s); });
-  ckpt::read_chunk(r, "event.telemetry",
-                   [&](ckpt::Source& s) { ckpt::field(s, telem_); });
+void EventSwitchSim::save_state(ckpt::Writer& w) const {
+  const_cast<EventSwitchSim*>(this)->io_chunks(w);
 }
+
+void EventSwitchSim::load_state(const ckpt::Reader& r) { io_chunks(r); }
 
 telemetry::RunReport EventSwitchSim::report() const {
   telemetry::RunReport r = telem_.make_report("EventSwitchSim", "ns");
@@ -500,7 +432,7 @@ telemetry::RunReport EventSwitchSim::report() const {
   r.config["telemetry.sample_every"] = cfg_.telemetry.sample_every;
   if (!cfg_.fault_plan.empty())
     r.config["fault_events"] = static_cast<double>(cfg_.fault_plan.size());
-  r.info["scheduler"] = sched_->name();
+  r.info["scheduler"] = core_.scheduler().name();
   r.health = faults_.health().event_log();
   r.histograms.emplace("delay",
                        telemetry::HistogramSummary::of(delay_ns_));

@@ -15,11 +15,11 @@
 //     arrivals would overbook an output's receivers in one cycle — the
 //     quantitative reason the hardware equalizes control paths.
 //
-// Mid-run faults go through the SwitchFaults model SwitchSim uses, at
-// cell-cycle boundaries.
+// The VOQs, scheduler and egress lines are the SwitchCore SwitchSim
+// runs (switch_core.hpp), and mid-run faults go through the SwitchFaults
+// model SwitchSim uses, at cell-cycle boundaries.
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <vector>
@@ -32,8 +32,8 @@
 #include "src/sim/traffic.hpp"
 #include "src/sw/fifo_pool.hpp"
 #include "src/sw/scheduler.hpp"
+#include "src/sw/switch_core.hpp"
 #include "src/sw/switch_faults.hpp"
-#include "src/sw/voq.hpp"
 #include "src/telemetry/telemetry.hpp"
 
 namespace osmosis::sw {
@@ -187,15 +187,22 @@ class EventSwitchSim {
   /// enabled and due (DESIGN.md §11); cycle-count driven, deterministic.
   void sample_series(std::uint64_t cycle);
   void on_grant_arrival(Grant g, double requested_at);
-  std::uint64_t backlog() const;
+  /// Files a request for VOQ (in, out), issued at `issued_ns`.
+  void request(int in, int out, double issued_ns);
+  std::uint64_t backlog() const {
+    return core_.backlog() + in_flight_ + retry_pending_;
+  }
   template <class Ar>
   void io_core(Ar& a);
   template <class Ar>
   void io_stats(Ar& a);
+  /// Every chunk, in order: saves to a Writer, loads from a Reader.
+  template <class Io>
+  void io_chunks(Io& io);
 
   EventSwitchConfig cfg_;
   std::unique_ptr<sim::TrafficGen> traffic_;
-  std::unique_ptr<Scheduler> sched_;
+  SwitchCore core_;
   std::vector<Ev> events_;  // min-heap (std::push_heap/pop_heap, EvLater)
   double now_ns_ = 0.0;
   std::uint64_t next_seq_ = 0;
@@ -203,8 +210,6 @@ class EventSwitchSim {
   double drain_horizon_ = 0.0;
   bool cycles_active_ = true;
   std::uint64_t advance_count_ = 0;
-  std::vector<VoqBank> voqs_;
-  std::vector<std::deque<Cell>> egress_;
   FifoPool<double> request_times_;  // per (in,out) FIFO, in * ports + out
   // Receiver bookings per (output, cell-cycle index).
   std::map<std::pair<int, std::uint64_t>, int> slot_bookings_;

@@ -11,6 +11,7 @@ SwitchSim::SwitchSim(SwitchSimConfig cfg,
                      std::unique_ptr<sim::TrafficGen> traffic)
     : cfg_(cfg),
       traffic_(std::move(traffic)),
+      core_(cfg.ports, cfg.sched),
       faults_(cfg.ports, cfg.sched.receivers, cfg.fault_plan),
       telem_(cfg.telemetry, telemetry::kCycleHist) {
   OSMOSIS_REQUIRE(traffic_ != nullptr, "traffic generator required");
@@ -18,11 +19,6 @@ SwitchSim::SwitchSim(SwitchSimConfig cfg,
                   "traffic generator built for " << traffic_->ports()
                                                  << " ports, switch has "
                                                  << cfg_.ports);
-  cfg_.sched.ports = cfg_.ports;
-  sched_ = make_scheduler(cfg_.sched);
-  voqs_.reserve(static_cast<std::size_t>(cfg_.ports));
-  for (int i = 0; i < cfg_.ports; ++i) voqs_.emplace_back(i, cfg_.ports);
-  egress_.resize(static_cast<std::size_t>(cfg_.ports));
   request_times_ = FifoPool<std::uint64_t>(
       static_cast<std::size_t>(cfg_.ports) *
       static_cast<std::size_t>(cfg_.ports));
@@ -39,8 +35,8 @@ SwitchSim::SwitchSim(SwitchSimConfig cfg,
     ocfg.receivers_per_egress = std::max(1, cfg_.sched.receivers);
     optical_.emplace(ocfg);
   }
-  faults_.fail_at_start(cfg_.failed_receivers, cfg_.failed_fibers, *sched_,
-                        optical());
+  faults_.fail_at_start(cfg_.failed_receivers, cfg_.failed_fibers,
+                        core_.scheduler(), optical());
   // A permanent fault (or a static failure, which may take an output's
   // last receiver) can legitimately strand cells past the drain.
   monitor_.configure(cfg_.monitor, faults_.may_strand(),
@@ -52,12 +48,9 @@ SwitchSim::SwitchSim(SwitchSimConfig cfg,
                         static_cast<std::size_t>(cfg_.ports) * 2);
 }
 
-std::uint64_t SwitchSim::backlog() const {
-  std::uint64_t total = 0;
-  for (const auto& v : voqs_)
-    total += static_cast<std::uint64_t>(v.total_occupancy());
-  for (const auto& q : egress_) total += q.size();
-  return total;
+void SwitchSim::request(int in, int out, std::uint64_t t) {
+  core_.scheduler().request(in, out);
+  request_times_.push_back(core_.pair_index(in, out), t);
 }
 
 void SwitchSim::step(std::uint64_t t, bool measuring, bool inject_traffic) {
@@ -66,74 +59,51 @@ void SwitchSim::step(std::uint64_t t, bool measuring, bool inject_traffic) {
   // 0. Scheduled faults begin / get repaired at the cycle boundary.
   if (faults_.active()) {
     OSMOSIS_PROF_SCOPE("switch.faults");
-    faults_.tick(t, *sched_, optical(), [this] { return backlog(); });
+    faults_.tick(t, core_.scheduler(), optical(),
+                 [this] { return core_.backlog(); });
   }
 
-  // 1. Arrivals into the VOQs; requests enter the control pipe. Dark
-  //    inputs (failed broadcast fiber) are offline hosts: no arrivals.
+  // 1. Requests re-filed after a missed-grant or ARQ timeout reach the
+  //    scheduler ahead of this slot's arrivals.
+  {
+    OSMOSIS_PROF_SCOPE("switch.control");
+    while (!retry_queue_.empty() && retry_queue_.begin()->first <= t) {
+      const auto [in, out] = retry_queue_.begin()->second;
+      retry_queue_.erase(retry_queue_.begin());
+      request(in, out, t);
+    }
+  }
+
+  // 2. Arrivals into the VOQs, each requesting at once. Dark inputs
+  //    (failed broadcast fiber) are offline hosts: no arrivals.
   if (inject_traffic) {
     OSMOSIS_PROF_SCOPE("switch.ingest");
     for (int in = 0; in < n; ++in) {
       sim::Arrival a;
       if (!traffic_->sample(in, a)) continue;
       if (faults_.dark(in)) continue;
-      // Ordering is guaranteed per (input, output, class): the two classes
-      // are independent streams (control has strict priority and may
-      // legitimately overtake data of the same port pair).
-      const std::size_t flow =
-          (static_cast<std::size_t>(in) * static_cast<std::size_t>(n) +
-           static_cast<std::size_t>(a.dst)) *
-              2 +
-          (a.cls == sim::TrafficClass::kControl ? 0 : 1);
       Cell cell;
       cell.src = in;
       cell.dst = a.dst;
-      cell.seq = monitor_.send(flow);
       cell.arrival_slot = t;
       cell.cls = a.cls;
       cell.tag = a.tag;
+      cell.seq = monitor_.send(core_.flow(cell));
       cell.trace = telem_.begin_cell(in, a.dst, static_cast<double>(t));
       telem_.mark(cell.trace, telemetry::Stage::kRequest,
-                  static_cast<double>(t + static_cast<std::uint64_t>(
-                                              cfg_.request_delay_slots)));
+                  static_cast<double>(t));
       ++enqueued_per_port_[static_cast<std::size_t>(in)];
       ++offered_;
-      voqs_[static_cast<std::size_t>(in)].push(cell);
-      request_pipe_.push_back(PendingRequest{
-          t + static_cast<std::uint64_t>(cfg_.request_delay_slots), in,
-          a.dst});
+      core_.enqueue(cell);
+      request(in, a.dst, t);
     }
-  }
-
-  // 2. Control-path delivery of requests to the scheduler, including
-  //    re-filed requests from missed-grant / ARQ timeouts.
-  {
-  OSMOSIS_PROF_SCOPE("switch.control");
-  while (!retry_queue_.empty() && retry_queue_.begin()->first <= t) {
-    const auto [in, out] = retry_queue_.begin()->second;
-    retry_queue_.erase(retry_queue_.begin());
-    sched_->request(in, out);
-    request_times_.push_back(static_cast<std::size_t>(in) *
-                                     static_cast<std::size_t>(n) +
-                                 static_cast<std::size_t>(out),
-                             t);
-  }
-  while (!request_pipe_.empty() && request_pipe_.front().deliver_slot <= t) {
-    const PendingRequest req = request_pipe_.front();
-    request_pipe_.pop_front();
-    sched_->request(req.in, req.out);
-    request_times_.push_back(static_cast<std::size_t>(req.in) *
-                                     static_cast<std::size_t>(n) +
-                                 static_cast<std::size_t>(req.out),
-                             t);
-  }
   }
 
   // 3. The central scheduler arbitrates this cell cycle.
   const std::vector<Grant>* grants = nullptr;
   {
     OSMOSIS_PROF_SCOPE("switch.sched");
-    grants = &sched_->tick();
+    grants = &core_.scheduler().tick();
   }
 
   // 4. Crossbar transfer: granted cells move VOQ -> egress queue.
@@ -148,9 +118,7 @@ void SwitchSim::step(std::uint64_t t, bool measuring, bool inject_traffic) {
     // order is preserved by construction — and the adapter re-files the
     // request once the missed-grant / ARQ timeout fires.
     const GrantLoss loss = faults_.roll(g.input);
-    const std::size_t voq = static_cast<std::size_t>(g.input) *
-                                static_cast<std::size_t>(n) +
-                            static_cast<std::size_t>(g.output);
+    const std::size_t voq = core_.pair_index(g.input, g.output);
     OSMOSIS_REQUIRE(!request_times_.empty(voq),
                     "grant without outstanding request");
     const std::uint64_t requested = request_times_.pop_front(voq);
@@ -180,37 +148,24 @@ void SwitchSim::step(std::uint64_t t, bool measuring, bool inject_traffic) {
                            std::make_pair(g.input, g.output));
       continue;
     }
-    Cell cell = voqs_[static_cast<std::size_t>(g.input)].pop(g.output);
-    OSMOSIS_REQUIRE(cell.dst == g.output, "VOQ returned a mis-routed cell");
+    Cell cell = core_.take(g);
     // The crossbar transfer occupies this cell cycle: granted at t,
     // landed on the egress queue at t + 1.
     telem_.mark(cell.trace, telemetry::Stage::kGrant, static_cast<double>(t));
     telem_.mark(cell.trace, telemetry::Stage::kTransmit,
                 static_cast<double>(t) + 1.0);
-    egress_[static_cast<std::size_t>(g.output)].push_back(cell);
+    core_.land(cell);
   }
-  for (const auto& q : egress_)
-    max_egress_depth_ = std::max(max_egress_depth_, static_cast<int>(q.size()));
+  max_egress_depth_ = std::max(max_egress_depth_, core_.max_egress_depth());
   }
 
   // 5. Egress lines drain one cell per slot (line rate).
   {
   OSMOSIS_PROF_SCOPE("switch.egress");
-  for (int out = 0; out < n; ++out) {
-    auto& q = egress_[static_cast<std::size_t>(out)];
-    if (q.empty()) continue;
-    const Cell cell = q.front();
-    q.pop_front();
+  core_.depart([&](const Cell& cell) {
     // +1: the crossbar transfer itself occupies this cell cycle.
     const double delay = static_cast<double>(t - cell.arrival_slot) + 1.0;
-    const int cls_bit = cell.cls == sim::TrafficClass::kControl ? 0 : 1;
-    monitor_.deliver(
-        (static_cast<std::uint64_t>(cell.src) *
-             static_cast<std::uint64_t>(n) +
-         static_cast<std::uint64_t>(cell.dst)) *
-                2 +
-            static_cast<std::uint64_t>(cls_bit),
-        cell.seq);
+    monitor_.deliver(core_.flow(cell), cell.seq);
     if (cfg_.on_delivery) cfg_.on_delivery(cell, t);
     telem_.finish_cell(cell.trace, static_cast<double>(t) + 1.0, measuring);
     ++total_delivered_;
@@ -220,23 +175,23 @@ void SwitchSim::step(std::uint64_t t, bool measuring, bool inject_traffic) {
                                                : data_delay_)
           .add(delay);
       meter_.add_delivery();
-      ++delivered_per_port_[static_cast<std::size_t>(out)];
+      ++delivered_per_port_[static_cast<std::size_t>(cell.dst)];
     }
-  }
+  });
   }
 
   // 6. Recovery bookkeeping: a repaired fault counts as recovered once
   //    the backlog returns to its pre-fault baseline.
   if (faults_.active()) {
     OSMOSIS_PROF_SCOPE("switch.recovery");
-    faults_.observe(t, backlog());
+    faults_.observe(t, core_.backlog());
   }
 
   // 7. Invariant verification at the slot boundary: cell conservation
   //    (retried cells stay VOQ-resident, so nothing is ever dropped) and
   //    the liveness watchdog. Retries maturing toward their timeout
   //    count as pending work, not as a stall.
-  monitor_.end_slot({t, backlog(), faults_.active_faults(),
+  monitor_.end_slot({t, core_.backlog(), faults_.active_faults(),
                      retry_queue_.size()});
 }
 
@@ -244,15 +199,8 @@ void SwitchSim::sample_series(std::uint64_t t) {
   prof::TimeSeriesSampler& s = telem_.series();
   if (!s.due(t)) return;
   OSMOSIS_PROF_SCOPE("switch.telemetry");
-  std::uint64_t voq_total = 0;
-  std::uint64_t voq_max = 0;
-  for (const auto& v : voqs_) {
-    const auto occ = static_cast<std::uint64_t>(v.total_occupancy());
-    voq_total += occ;
-    voq_max = std::max(voq_max, occ);
-  }
-  std::uint64_t egress_total = 0;
-  for (const auto& q : egress_) egress_total += q.size();
+  const std::uint64_t voq_total = core_.voq_backlog();
+  const std::uint64_t egress_total = core_.egress_backlog();
   // Rates over the window since the previous sample; the first sample
   // of a run has no window yet and records 0.
   const std::uint64_t dslots = t - last_sample_slot_;
@@ -269,7 +217,8 @@ void SwitchSim::sample_series(std::uint64_t t) {
                           static_cast<double>(cfg_.ports))
              : 0.0;
   s.record(t, {static_cast<double>(voq_total + egress_total),
-               static_cast<double>(voq_total), static_cast<double>(voq_max),
+               static_cast<double>(voq_total),
+               static_cast<double>(core_.max_bank_backlog()),
                static_cast<double>(egress_total),
                static_cast<double>(retry_queue_.size()), thr, link_util,
                static_cast<double>(dslots ? dgrants /
@@ -315,7 +264,7 @@ bool SwitchSim::advance_slot() {
   // delivery of everything offered.
   if (cfg_.drain_max_slots == 0) return false;
   if (now_ >= measure_end + cfg_.drain_max_slots) return false;
-  if (backlog() == 0 && retry_queue_.empty() && faults_.pending() == 0)
+  if (core_.backlog() == 0 && retry_queue_.empty() && faults_.pending() == 0)
     return false;
   step(now_, false, false);
   sample_series(now_);
@@ -332,7 +281,7 @@ SwitchSimResult SwitchSim::run() {
 
 SwitchSimResult SwitchSim::finalize() {
   SwitchSimResult r;
-  r.scheduler = sched_->name();
+  r.scheduler = core_.scheduler().name();
   r.offered_load = traffic_->offered_load();
   r.throughput = meter_.utilization();
   r.delivered = delay_hist_.count();
@@ -343,8 +292,7 @@ SwitchSimResult SwitchSim::finalize() {
   r.mean_data_delay = data_delay_.mean();
   r.mean_grant_latency = grant_latency_.mean();
   r.p99_grant_latency = grant_latency_.p99();
-  for (const auto& v : voqs_) r.max_voq_depth = std::max(r.max_voq_depth,
-                                                         v.max_depth_seen());
+  r.max_voq_depth = core_.max_voq_depth();
   r.max_egress_depth = max_egress_depth_;
   r.out_of_order = monitor_.ledger().out_of_order();
   if (optical_) r.crossbar_reconfigs = optical_->reconfigurations();
@@ -359,7 +307,7 @@ SwitchSimResult SwitchSim::finalize() {
   r.min_window_throughput = min_window_thr_ < 0.0 ? r.throughput
                                                   : min_window_thr_;
   r.drained_slots = drained_slots_;
-  monitor_.finish(now_, backlog());
+  monitor_.finish(now_, core_.backlog());
   const auto inv = monitor_.ledger().report();
   r.exactly_once_in_order = inv.exactly_once_in_order();
   r.duplicates = inv.duplicates;
@@ -376,7 +324,7 @@ SwitchSimResult SwitchSim::finalize() {
       ctr.add("egress." + port + ".delivered",
               static_cast<double>(delivered_per_port_[static_cast<std::size_t>(p)]));
       ctr.set_gauge("ingress." + port + ".max_voq_depth",
-                    voqs_[static_cast<std::size_t>(p)].max_depth_seen());
+                    core_.voq(p).max_depth_seen());
     }
     ctr.add("sched.grants", static_cast<double>(grants_issued_));
     ctr.add("switch.delivered", static_cast<double>(r.delivered));
@@ -409,9 +357,13 @@ void SwitchSim::io_core(Ar& a) {
   ckpt::field(a, window_mark_);
   ckpt::field(a, min_window_thr_);
   monitor_.io_flow_seq(a);
-  ckpt::field(a, request_pipe_);
+  // Where a request pipe was once kept: always an empty list.
+  std::uint64_t delayed_requests = 0;
+  ckpt::field(a, delayed_requests);
+  if (delayed_requests != 0)
+    throw ckpt::Error("checkpoint holds control-path-delayed requests");
   ckpt::field(a, request_times_);
-  ckpt::field(a, egress_);
+  core_.io_egress(a);
   faults_.io_paths(a);
   ckpt::field(a, retry_queue_);
   ckpt::field(a, offered_);
@@ -425,10 +377,6 @@ void SwitchSim::io_core(Ar& a) {
   ckpt::field(a, last_sample_slot_);
   ckpt::field(a, last_sample_delivered_);
   ckpt::field(a, last_sample_grants_);
-  if constexpr (Ar::kLoading) {
-    if (egress_.size() != static_cast<std::size_t>(cfg_.ports))
-      throw ckpt::Error("switch core state sized for a different port count");
-  }
 }
 
 template <class Ar>
@@ -443,62 +391,36 @@ void SwitchSim::io_stats(Ar& a) {
   faults_.io_health(a);
 }
 
-void SwitchSim::save_state(ckpt::Writer& w) const {
-  auto* self = const_cast<SwitchSim*>(this);
-  ckpt::write_chunk(w, "switch.core",
-                    [&](ckpt::Sink& s) { self->io_core(s); });
-  ckpt::write_chunk(w, "switch.traffic",
-                    [&](ckpt::Sink& s) { traffic_->save_state(s); });
-  ckpt::write_chunk(w, "switch.sched",
-                    [&](ckpt::Sink& s) { sched_->save_state(s); });
-  ckpt::write_chunk(w, "switch.voq", [&](ckpt::Sink& s) {
-    std::uint64_t n = voqs_.size();
-    ckpt::field(s, n);
-    for (auto& v : self->voqs_) ckpt::field(s, v);
-  });
-  ckpt::write_chunk(w, "switch.stats",
-                    [&](ckpt::Sink& s) { self->io_stats(s); });
+template <class Io>
+void SwitchSim::io_chunks(Io& io) {
+  ckpt::chunk(io, "switch.core", [&](auto& s) { io_core(s); });
+  ckpt::chunk(io, "switch.traffic",
+              [&](auto& s) { ckpt::save_or_load(s, *traffic_); });
+  ckpt::chunk(io, "switch.sched", [&](auto& s) { core_.io_scheduler(s); });
+  ckpt::chunk(io, "switch.voq", [&](auto& s) { core_.io_voqs(s); });
+  ckpt::chunk(io, "switch.stats", [&](auto& s) { io_stats(s); });
   if (faults_.active())
-    ckpt::write_chunk(w, "switch.faults",
-                      [&](ckpt::Sink& s) { self->faults_.io_injector(s); });
+    ckpt::chunk(io, "switch.faults",
+                [&](auto& s) { faults_.io_injector(s); });
   if (optical_)
-    ckpt::write_chunk(w, "switch.optical", [&](ckpt::Sink& s) {
-      ckpt::field(s, *self->optical_);
-    });
-  ckpt::write_chunk(w, "switch.telemetry",
-                    [&](ckpt::Sink& s) { ckpt::field(s, self->telem_); });
+    ckpt::chunk(io, "switch.optical",
+                [&](auto& s) { ckpt::field(s, *optical_); });
+  ckpt::chunk(io, "switch.telemetry",
+              [&](auto& s) { ckpt::field(s, telem_); });
 }
 
-void SwitchSim::load_state(const ckpt::Reader& r) {
-  ckpt::read_chunk(r, "switch.core", [&](ckpt::Source& s) { io_core(s); });
-  ckpt::read_chunk(r, "switch.traffic",
-                   [&](ckpt::Source& s) { traffic_->load_state(s); });
-  ckpt::read_chunk(r, "switch.sched",
-                   [&](ckpt::Source& s) { sched_->load_state(s); });
-  ckpt::read_chunk(r, "switch.voq", [&](ckpt::Source& s) {
-    std::uint64_t n = 0;
-    ckpt::field(s, n);
-    if (n != voqs_.size())
-      throw ckpt::Error("VOQ bank count mismatch in checkpoint");
-    for (auto& v : voqs_) ckpt::field(s, v);
-  });
-  ckpt::read_chunk(r, "switch.stats", [&](ckpt::Source& s) { io_stats(s); });
-  if (faults_.active())
-    ckpt::read_chunk(r, "switch.faults",
-                     [&](ckpt::Source& s) { faults_.io_injector(s); });
-  if (optical_)
-    ckpt::read_chunk(r, "switch.optical",
-                     [&](ckpt::Source& s) { ckpt::field(s, *optical_); });
-  ckpt::read_chunk(r, "switch.telemetry",
-                   [&](ckpt::Source& s) { ckpt::field(s, telem_); });
+void SwitchSim::save_state(ckpt::Writer& w) const {
+  const_cast<SwitchSim*>(this)->io_chunks(w);
 }
+
+void SwitchSim::load_state(const ckpt::Reader& r) { io_chunks(r); }
 
 telemetry::RunReport SwitchSim::report() const {
   telemetry::RunReport r = telem_.make_report("SwitchSim", "cycles");
   r.config["ports"] = cfg_.ports;
   r.config["receivers"] = cfg_.sched.receivers;
   r.config["egress_line_rate"] = 1;  // cells/slot
-  r.config["request_delay_slots"] = cfg_.request_delay_slots;
+  r.config["request_delay_slots"] = 0;  // requests file on arrival
   r.config["warmup_slots"] = static_cast<double>(cfg_.warmup_slots);
   r.config["measure_slots"] = static_cast<double>(cfg_.measure_slots);
   r.config["offered_load"] = traffic_->offered_load();
@@ -510,7 +432,7 @@ telemetry::RunReport SwitchSim::report() const {
         static_cast<double>(kGrantTimeoutCycles);
     r.config["arq_timeout_slots"] = static_cast<double>(kArqTimeoutCycles);
   }
-  r.info["scheduler"] = sched_->name();
+  r.info["scheduler"] = core_.scheduler().name();
   r.health = faults_.health().event_log();
   r.histograms.emplace("delay",
                        telemetry::HistogramSummary::of(delay_hist_));

@@ -4,15 +4,16 @@
 // the bufferless crossbar, and egress adapters with one or two receivers
 // feeding an egress queue that drains one cell per slot (line rate).
 // Time advances in cell cycles (51.2 ns each for the demonstrator
-// format). Failures and mid-run faults go through the shared
-// SwitchFaults model (switch_faults.hpp).
+// format). The VOQs, scheduler and egress lines are the shared
+// SwitchCore (switch_core.hpp); failures and mid-run faults go through
+// the shared SwitchFaults model (switch_faults.hpp). A cell requests on
+// arrival: the control-path delay is EventSwitchSim's to model.
 //
 // This is the tool behind Fig. 6 (request-to-grant latency) and Fig. 7
 // (delay vs throughput, single vs dual receiver), and the measured half
 // of the Table 1 compliance bench.
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -30,8 +31,8 @@
 #include "src/sim/traffic.hpp"
 #include "src/sw/fifo_pool.hpp"
 #include "src/sw/scheduler.hpp"
+#include "src/sw/switch_core.hpp"
 #include "src/sw/switch_faults.hpp"
-#include "src/sw/voq.hpp"
 #include "src/telemetry/telemetry.hpp"
 
 namespace osmosis::sw {
@@ -39,7 +40,6 @@ namespace osmosis::sw {
 struct SwitchSimConfig {
   int ports = 64;
   SchedulerConfig sched;          // sched.ports is overridden by `ports`
-  int request_delay_slots = 0;    // ingress -> scheduler control latency
   std::uint64_t warmup_slots = 2'000;
   std::uint64_t measure_slots = 50'000;
   // When set, every grant also reconfigures a gate-accurate
@@ -150,7 +150,7 @@ class SwitchSim {
   void load_state(const ckpt::Reader& r);
 
   /// Access to the scheduler (tests poke FC hooks through this).
-  Scheduler& scheduler() { return *sched_; }
+  Scheduler& scheduler() { return core_.scheduler(); }
 
   /// Telemetry access (trace ring, stage book, counters).
   telemetry::Telemetry& telemetry() { return telem_; }
@@ -177,6 +177,8 @@ class SwitchSim {
 
  private:
   void step(std::uint64_t t, bool measuring, bool inject_traffic);
+  /// Files a request for VOQ (in, out) at slot `t`.
+  void request(int in, int out, std::uint64_t t);
   /// Records one time-series row (DESIGN.md §11) after slot `t` when the
   /// sampler is enabled and due. Purely slot-driven, so the recorded
   /// series is identical at any thread count and across checkpoints.
@@ -185,10 +187,12 @@ class SwitchSim {
   void io_core(Ar& a);
   template <class Ar>
   void io_stats(Ar& a);
+  /// Every chunk, in order: saves to a Writer, loads from a Reader.
+  template <class Io>
+  void io_chunks(Io& io);
   phy::BroadcastSelectCrossbar* optical() {
     return optical_ ? &*optical_ : nullptr;
   }
-  std::uint64_t backlog() const;
 
   SwitchSimConfig cfg_;
   std::unique_ptr<sim::TrafficGen> traffic_;
@@ -197,23 +201,7 @@ class SwitchSim {
   std::uint64_t now_ = 0;
   std::uint64_t window_mark_ = 0;
   double min_window_thr_ = -1.0;  // -1 = no full window completed yet
-  std::unique_ptr<Scheduler> sched_;
-  std::vector<VoqBank> voqs_;
-  std::vector<std::deque<Cell>> egress_;       // per output
-  // Requests in flight on the control path: (deliver_slot, in, out).
-  struct PendingRequest {
-    std::uint64_t deliver_slot = 0;
-    int in = -1;
-    int out = -1;
-
-    template <class Ar>
-    void io_state(Ar& a) {
-      ckpt::field(a, deliver_slot);
-      ckpt::field(a, in);
-      ckpt::field(a, out);
-    }
-  };
-  std::deque<PendingRequest> request_pipe_;
+  SwitchCore core_;
   // Issue times of requests, for grant-latency attribution: one FIFO per
   // VOQ (in * ports + out). A lost grant pops its time and the retry
   // appends a new one, while the cell stays at the head of its VOQ.

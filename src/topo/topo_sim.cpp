@@ -1114,48 +1114,28 @@ void TopoSim::io_telemetry(Ar& a) {
   }
 }
 
-void TopoSim::save_state(ckpt::Writer& w) const {
-  TopoSim* self = const_cast<TopoSim*>(this);
-  ckpt::write_chunk(w, "topo.core",
-                    [&](ckpt::Sink& s) { self->io_core(s); });
-  ckpt::write_chunk(w, "topo.switches", [&](ckpt::Sink& s) {
-    for (Node& node : self->nodes_) node.io_state(s);
-  });
-  ckpt::write_chunk(w, "topo.traffic",
-                    [&](ckpt::Sink& s) { traffic_->save_state(s); });
-  ckpt::write_chunk(w, "topo.stats",
-                    [&](ckpt::Sink& s) { self->io_stats(s); });
-  if (!cfg_.fault_plan.empty())
-    ckpt::write_chunk(w, "topo.faults",
-                      [&](ckpt::Sink& s) { self->io_faults(s); });
-  if (degraded_mode())
-    ckpt::write_chunk(w, "topo.degraded",
-                      [&](ckpt::Sink& s) { self->io_degraded(s); });
-  if (traced())
-    ckpt::write_chunk(w, "topo.telemetry",
-                      [&](ckpt::Sink& s) { self->io_telemetry(s); });
-}
-
-void TopoSim::load_state(const ckpt::Reader& r) {
-  ckpt::read_chunk(r, "topo.core",
-                   [&](ckpt::Source& s) { io_core(s); });
-  ckpt::read_chunk(r, "topo.switches", [&](ckpt::Source& s) {
+template <class Io>
+void TopoSim::io_chunks(Io& io) {
+  ckpt::chunk(io, "topo.core", [&](auto& s) { io_core(s); });
+  ckpt::chunk(io, "topo.switches", [&](auto& s) {
     for (Node& node : nodes_) node.io_state(s);
   });
-  ckpt::read_chunk(r, "topo.traffic",
-                   [&](ckpt::Source& s) { traffic_->load_state(s); });
-  ckpt::read_chunk(r, "topo.stats",
-                   [&](ckpt::Source& s) { io_stats(s); });
+  ckpt::chunk(io, "topo.traffic",
+              [&](auto& s) { ckpt::save_or_load(s, *traffic_); });
+  ckpt::chunk(io, "topo.stats", [&](auto& s) { io_stats(s); });
   if (!cfg_.fault_plan.empty())
-    ckpt::read_chunk(r, "topo.faults",
-                     [&](ckpt::Source& s) { io_faults(s); });
+    ckpt::chunk(io, "topo.faults", [&](auto& s) { io_faults(s); });
   if (degraded_mode())
-    ckpt::read_chunk(r, "topo.degraded",
-                     [&](ckpt::Source& s) { io_degraded(s); });
+    ckpt::chunk(io, "topo.degraded", [&](auto& s) { io_degraded(s); });
   if (traced())
-    ckpt::read_chunk(r, "topo.telemetry",
-                     [&](ckpt::Source& s) { io_telemetry(s); });
+    ckpt::chunk(io, "topo.telemetry", [&](auto& s) { io_telemetry(s); });
 }
+
+void TopoSim::save_state(ckpt::Writer& w) const {
+  const_cast<TopoSim*>(this)->io_chunks(w);
+}
+
+void TopoSim::load_state(const ckpt::Reader& r) { io_chunks(r); }
 
 TopoSimResult run_topo_uniform(const TopoSimConfig& cfg, double load,
                                std::uint64_t seed) {

@@ -324,6 +324,9 @@ class TopoSim {
   void io_degraded(Ar& a);
   template <class Ar>
   void io_telemetry(Ar& a);
+  /// Every chunk, in order: saves to a Writer, loads from a Reader.
+  template <class Io>
+  void io_chunks(Io& io);
 
   TopoSimConfig cfg_;
   Topology topo_;

@@ -1,6 +1,6 @@
 // Tests for the single-stage switch simulator: conservation, ordering,
-// dual-receiver benefit, optical-path validation, control-delay effects,
-// and the memory cost of building one at the paper's 2048 ports.
+// dual-receiver benefit, optical-path validation, and the memory cost of
+// building one at the paper's 2048 ports.
 
 #include <gtest/gtest.h>
 
@@ -63,15 +63,6 @@ TEST(SwitchSim, PipelinedGrantLatencyNearDepth) {
   const auto r = run_uniform(cfg, 0.1, 13);  // depth = log2(16) = 4
   EXPECT_GT(r.mean_grant_latency, 3.0);
   EXPECT_LT(r.mean_grant_latency, 5.5);
-}
-
-TEST(SwitchSim, ControlDelayShiftsGrantLatency) {
-  auto cfg = small_config(SchedulerKind::kFlppr, 1);
-  const auto base = run_uniform(cfg, 0.2, 17);
-  cfg.request_delay_slots = 4;
-  const auto delayed = run_uniform(cfg, 0.2, 17);
-  // The queueing delay includes the control-path latency.
-  EXPECT_GT(delayed.mean_delay, base.mean_delay + 3.0);
 }
 
 TEST(SwitchSim, OpticalPathValidationHolds) {
