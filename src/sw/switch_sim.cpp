@@ -357,7 +357,8 @@ void SwitchSim::io_core(Ar& a) {
   ckpt::field(a, window_mark_);
   ckpt::field(a, min_window_thr_);
   monitor_.io_flow_seq(a);
-  // Where a request pipe was once kept: always an empty list.
+  // The v1 layout keeps a list of control-path-delayed requests here;
+  // requests file on arrival, so the list is always empty.
   std::uint64_t delayed_requests = 0;
   ckpt::field(a, delayed_requests);
   if (delayed_requests != 0)
