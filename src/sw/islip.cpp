@@ -1,6 +1,7 @@
 #include "src/sw/islip.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 
 #include "src/util/log.hpp"
@@ -10,23 +11,63 @@ namespace osmosis::sw {
 
 // ---- DemandState (defined here with the engine it serves) ------------------
 
+namespace {
+
+// Checked before any member is sized: ports_ is initialized first.
+int checked_ports(int ports) {
+  OSMOSIS_REQUIRE(ports >= 1, "need at least one port");
+  OSMOSIS_REQUIRE(ports <= DemandState::kMaxPorts,
+                  ports << " ports exceed the " << DemandState::kMaxPorts
+                        << " one demand summary word covers");
+  return ports;
+}
+
+std::uint64_t word_bit(int in) { return std::uint64_t{1} << (in >> 6); }
+
+}  // namespace
+
 DemandState::DemandState(int ports)
-    : ports_(ports),
+    : ports_(checked_ports(ports)),
       residual_(static_cast<std::size_t>(ports) * static_cast<std::size_t>(ports),
                 0),
       avail_(static_cast<std::size_t>(ports), PortSet(ports)),
       empty_(ports),
       blocked_(static_cast<std::size_t>(ports), 0),
-      input_blocked_(static_cast<std::size_t>(ports), 0) {
-  OSMOSIS_REQUIRE(ports_ >= 1, "need at least one port");
+      input_blocked_(static_cast<std::size_t>(ports), 0),
+      summary_(static_cast<std::size_t>(ports), 0),
+      demand_outputs_(ports) {}
+
+void DemandState::mark(int in, int out) {
+  const auto o = static_cast<std::size_t>(out);
+  avail_[o].set(in);
+  summary_[o] |= word_bit(in);
+  if (!blocked_[o]) demand_outputs_.set(out);
+}
+
+void DemandState::unmark(int in, int out) {
+  const auto o = static_cast<std::size_t>(out);
+  avail_[o].clear(in);
+  if (avail_[o].word(in >> 6) != 0) return;
+  summary_[o] &= ~word_bit(in);
+  if (summary_[o] == 0) demand_outputs_.clear(out);
+}
+
+void DemandState::rebuild_views() {
+  demand_outputs_.clear_all();
+  for (int out = 0; out < ports_; ++out) {
+    const auto o = static_cast<std::size_t>(out);
+    summary_[o] = 0;
+    for (int w = 0; w < avail_[o].word_count(); ++w)
+      if (avail_[o].word(w) != 0) summary_[o] |= std::uint64_t{1} << w;
+    if (summary_[o] != 0 && !blocked_[o]) demand_outputs_.set(out);
+  }
 }
 
 void DemandState::add_request(int in, int out) {
   OSMOSIS_REQUIRE(in >= 0 && in < ports_ && out >= 0 && out < ports_,
                   "request (" << in << "," << out << ") out of range");
   auto& r = residual_[static_cast<std::size_t>(index(in, out))];
-  if (r == 0 && !input_blocked_[static_cast<std::size_t>(in)])
-    avail_[static_cast<std::size_t>(out)].set(in);
+  if (r == 0 && !input_blocked_[static_cast<std::size_t>(in)]) mark(in, out);
   ++r;
   ++total_;
 }
@@ -37,7 +78,7 @@ void DemandState::reserve(int in, int out) {
                                                              << out << ")");
   --r;
   --total_;
-  if (r == 0) avail_[static_cast<std::size_t>(out)].clear(in);
+  if (r == 0) unmark(in, out);
 }
 
 void DemandState::cancel_request(int in, int out) {
@@ -48,7 +89,7 @@ void DemandState::cancel_request(int in, int out) {
                                                             << out << ")");
   --r;
   --total_;
-  if (r == 0) avail_[static_cast<std::size_t>(out)].clear(in);
+  if (r == 0) unmark(in, out);
 }
 
 int DemandState::residual(int in, int out) const {
@@ -63,14 +104,22 @@ const PortSet& DemandState::candidates(int out) const {
   return avail_[static_cast<std::size_t>(out)];
 }
 
+std::uint64_t DemandState::summary(int out) const {
+  OSMOSIS_REQUIRE(out >= 0 && out < ports_, "output out of range");
+  const auto o = static_cast<std::size_t>(out);
+  return blocked_[o] ? 0 : summary_[o];
+}
+
 void DemandState::block_output(int out) {
   OSMOSIS_REQUIRE(out >= 0 && out < ports_, "output out of range");
   blocked_[static_cast<std::size_t>(out)] = 1;
+  demand_outputs_.clear(out);
 }
 
 void DemandState::unblock_output(int out) {
   OSMOSIS_REQUIRE(out >= 0 && out < ports_, "output out of range");
   blocked_[static_cast<std::size_t>(out)] = 0;
+  if (summary_[static_cast<std::size_t>(out)] != 0) demand_outputs_.set(out);
 }
 
 bool DemandState::blocked(int out) const {
@@ -82,8 +131,7 @@ void DemandState::block_input(int in) {
   OSMOSIS_REQUIRE(in >= 0 && in < ports_, "input out of range");
   if (input_blocked_[static_cast<std::size_t>(in)]) return;
   input_blocked_[static_cast<std::size_t>(in)] = 1;
-  for (int out = 0; out < ports_; ++out)
-    avail_[static_cast<std::size_t>(out)].clear(in);
+  for (int out = 0; out < ports_; ++out) unmark(in, out);
 }
 
 void DemandState::unblock_input(int in) {
@@ -92,7 +140,7 @@ void DemandState::unblock_input(int in) {
   input_blocked_[static_cast<std::size_t>(in)] = 0;
   for (int out = 0; out < ports_; ++out)
     if (residual_[static_cast<std::size_t>(index(in, out))] > 0)
-      avail_[static_cast<std::size_t>(out)].set(in);
+      mark(in, out);
 }
 
 bool DemandState::input_blocked(int in) const {
@@ -127,31 +175,26 @@ IslipIteration::IslipIteration(int ports)
     : ports_(ports),
       grant_ptr_(static_cast<std::size_t>(ports), 0),
       accept_ptr_(static_cast<std::size_t>(ports), 0),
-      cands_(ports),
       best_offer_(static_cast<std::size_t>(ports), -1) {
   OSMOSIS_REQUIRE(ports_ >= 1, "need at least one port");
   granted_inputs_.reserve(static_cast<std::size_t>(ports));
 }
 
-void IslipIteration::run(DemandState& primary, DemandState* shared,
-                         Matching& m, bool update_pointers) {
-  granted_inputs_.clear();
+void IslipIteration::grant(const DemandState& primary,
+                           const DemandState* shared,
+                           const PortSet& input_free, int out, int cap) {
+  const PortSet& cands = primary.candidates(out);
+  const PortSet* also = shared != nullptr ? &shared->candidates(out) : nullptr;
+  std::uint64_t marked = primary.summary(out);
+  if (shared != nullptr) marked &= shared->summary(out);
 
-  // Grant phase: each output with remaining receiver capacity offers up
-  // to `capacity` grants, scanning inputs round-robin from its pointer.
-  // An input keeps only its best offer so far: the one closest (in
-  // round-robin order) to its accept pointer, which is the offer the
-  // accept phase takes. Distinct outputs never tie on that distance.
-  for (int out = 0; out < ports_; ++out) {
-    int cap = m.capacity[static_cast<std::size_t>(out)];
-    if (cap <= 0) continue;
-    cands_ = primary.candidates(out);
-    if (shared != nullptr) cands_ &= shared->candidates(out);
-    cands_ &= m.input_free;
-    int from = grant_ptr_[static_cast<std::size_t>(out)];
-    while (cap > 0) {
-      const int in = cands_.next_circular(from);
-      if (in < 0) break;
+  // Offers to the grantable inputs of word `w` under `mask`, lowest
+  // first, while capacity lasts.
+  const auto offer_word = [&](int w, std::uint64_t mask) {
+    std::uint64_t bits = cands.word(w) & input_free.word(w) & mask;
+    if (also != nullptr) bits &= also->word(w);
+    for (; bits != 0 && cap > 0; bits &= bits - 1, --cap) {
+      const int in = w * 64 + std::countr_zero(bits);
       int& best = best_offer_[static_cast<std::size_t>(in)];
       if (best < 0) {
         granted_inputs_.push_back(in);
@@ -159,9 +202,42 @@ void IslipIteration::run(DemandState& primary, DemandState* shared,
       } else if (accept_distance(in, out) < accept_distance(in, best)) {
         best = out;
       }
-      cands_.clear(in);  // one grant per (output, input) pair per round
-      --cap;
-      from = (in + 1) % ports_;
+    }
+  };
+
+  // Round-robin order from the pointer, one marked word at a time: the
+  // pointer's own word from the pointer up, the other marked words in
+  // circular order (bit k of `ring` is word from_word + k, mod 64), and
+  // last the pointer's word below the pointer.
+  const int from = grant_ptr_[static_cast<std::size_t>(out)];
+  const int from_word = from >> 6;
+  const std::uint64_t from_up = ~std::uint64_t{0} << (from & 63);
+  const std::uint64_t ring = std::rotr(marked, from_word);
+  if (ring & 1) offer_word(from_word, from_up);
+  for (std::uint64_t r = ring & ~std::uint64_t{1}; r != 0 && cap > 0;
+       r &= r - 1)
+    offer_word((from_word + std::countr_zero(r)) & 63, ~std::uint64_t{0});
+  if ((ring & 1) && cap > 0) offer_word(from_word, ~from_up);
+}
+
+void IslipIteration::run(DemandState& primary, DemandState* shared,
+                         Matching& m, bool update_pointers) {
+  granted_inputs_.clear();
+
+  // Grant phase: each output with demand and remaining receiver capacity
+  // offers up to `capacity` grants, scanning inputs round-robin from its
+  // pointer, outputs in ascending order. An input keeps only its best
+  // offer so far: the one closest (in round-robin order) to its accept
+  // pointer, which is the offer the accept phase takes. Distinct outputs
+  // never tie on that distance.
+  const PortSet& outputs = primary.outputs_with_demand();
+  for (int ow = 0; ow < outputs.word_count(); ++ow) {
+    std::uint64_t outs = outputs.word(ow);
+    if (shared != nullptr) outs &= shared->outputs_with_demand().word(ow);
+    for (; outs != 0; outs &= outs - 1) {
+      const int out = ow * 64 + std::countr_zero(outs);
+      const int cap = m.capacity[static_cast<std::size_t>(out)];
+      if (cap > 0) grant(primary, shared, m.input_free, out, cap);
     }
   }
 

@@ -1,5 +1,6 @@
 #include "src/sw/pim.hpp"
 
+#include <bit>
 #include <sstream>
 
 #include "src/util/log.hpp"
@@ -14,7 +15,6 @@ PimScheduler::PimScheduler(int ports, int receivers, int iterations,
                       ? iterations
                       : util::ceil_log2(static_cast<std::uint64_t>(ports))),
       rng_(rng),
-      cands_(ports),
       grants_to_input_(static_cast<std::size_t>(ports)) {
   if (iterations_ < 1) iterations_ = 1;
   matching_.reset(ports, receivers);
@@ -32,28 +32,36 @@ std::string PimScheduler::name() const {
 }
 
 void PimScheduler::run_iteration(IslipIteration::Matching& m) {
-  const int n = ports();
   granted_inputs_.clear();
 
-  // Grant phase: each output with capacity picks random requesting,
-  // still-free inputs.
-  for (int out = 0; out < n; ++out) {
-    int cap = m.capacity[static_cast<std::size_t>(out)];
-    if (cap <= 0) continue;
-    cands_ = demand_.candidates(out);
-    cands_ &= m.input_free;
-    // Collect candidate indices (PIM is a reference implementation; the
-    // O(N) scan is acceptable here).
-    cand_list_.clear();
-    for (int in = 0; in < n; ++in)
-      if (cands_.test(in)) cand_list_.push_back(in);
-    rng_.shuffle(cand_list_);
-    const int take = std::min<int>(cap, static_cast<int>(cand_list_.size()));
-    for (int k = 0; k < take; ++k) {
-      const int in = cand_list_[static_cast<std::size_t>(k)];
-      auto& offers = grants_to_input_[static_cast<std::size_t>(in)];
-      if (offers.empty()) granted_inputs_.push_back(in);
-      offers.push_back(out);
+  // Grant phase: each output with demand and capacity picks random
+  // requesting, still-free inputs. Only the outputs with demand and the
+  // words their summary marks are visited; an output left out would
+  // shuffle an empty list, which draws nothing from the RNG.
+  const PortSet& outputs = demand_.outputs_with_demand();
+  for (int ow = 0; ow < outputs.word_count(); ++ow) {
+    for (std::uint64_t outs = outputs.word(ow); outs != 0; outs &= outs - 1) {
+      const int out = ow * 64 + std::countr_zero(outs);
+      const int cap = m.capacity[static_cast<std::size_t>(out)];
+      if (cap <= 0) continue;
+      const PortSet& cands = demand_.candidates(out);
+      cand_list_.clear();
+      for (std::uint64_t marked = demand_.summary(out); marked != 0;
+           marked &= marked - 1) {
+        const int w = std::countr_zero(marked);
+        for (std::uint64_t bits = cands.word(w) & m.input_free.word(w);
+             bits != 0; bits &= bits - 1)
+          cand_list_.push_back(w * 64 + std::countr_zero(bits));
+      }
+      rng_.shuffle(cand_list_);
+      const int take =
+          std::min<int>(cap, static_cast<int>(cand_list_.size()));
+      for (int k = 0; k < take; ++k) {
+        const int in = cand_list_[static_cast<std::size_t>(k)];
+        auto& offers = grants_to_input_[static_cast<std::size_t>(in)];
+        if (offers.empty()) granted_inputs_.push_back(in);
+        offers.push_back(out);
+      }
     }
   }
 

@@ -35,8 +35,7 @@ class PimScheduler final : public Scheduler {
   sim::Rng rng_;
   IslipIteration::Matching matching_;
   // scratch, sized at construction
-  PortSet cands_;                                  // one output's inputs
-  std::vector<int> cand_list_;                     // the same, as indices
+  std::vector<int> cand_list_;                     // one output's inputs
   std::vector<std::vector<int>> grants_to_input_;  // offers per input
   std::vector<int> granted_inputs_;                // first-offer order
 };

@@ -24,9 +24,16 @@
 namespace osmosis::sw {
 
 /// Residual (ungranted, unreserved) request counts per (input, output),
-/// with per-output candidate masks for O(1) arbiter scans.
+/// with per-output candidate masks for O(1) arbiter scans, and two views
+/// of those masks that let an arbiter visit only outputs and words with
+/// demand: a summary word per output and the set of outputs with any
+/// candidate. Every mutator keeps the views current; they are derived,
+/// so a checkpoint holds only the masks and a load rebuilds them.
 class DemandState {
  public:
+  /// One 64-bit summary word marks at most 64 words of 64 inputs.
+  static constexpr int kMaxPorts = 64 * 64;
+
   explicit DemandState(int ports);
 
   int ports() const { return ports_; }
@@ -50,6 +57,12 @@ class DemandState {
   /// the mask is empty while the output is blocked — and blocked inputs).
   const PortSet& candidates(int out) const;
 
+  /// Bit w is set when word w of candidates(out) is non-zero.
+  std::uint64_t summary(int out) const;
+
+  /// Outputs whose candidates() is non-empty.
+  const PortSet& outputs_with_demand() const { return demand_outputs_; }
+
   void block_output(int out);
   void unblock_output(int out);
   bool blocked(int out) const;
@@ -69,16 +82,23 @@ class DemandState {
     ckpt::field(a, input_blocked_);
     ckpt::field(a, total_);
     if constexpr (Ar::kLoading) {
-      if (residual_.size() !=
-              static_cast<std::size_t>(ports_) * static_cast<std::size_t>(
-                                                     ports_) ||
-          avail_.size() != static_cast<std::size_t>(ports_))
+      const auto n = static_cast<std::size_t>(ports_);
+      bool ok = residual_.size() == n * n && avail_.size() == n &&
+                blocked_.size() == n && input_blocked_.size() == n;
+      for (const PortSet& set : avail_) ok = ok && set.size() == ports_;
+      if (!ok)
         throw ckpt::Error("DemandState size inconsistent in checkpoint");
+      rebuild_views();
     }
   }
 
  private:
   int index(int in, int out) const { return in * ports_ + out; }
+
+  /// Adds `in` to / removes it from avail_[out], keeping the views.
+  void mark(int in, int out);
+  void unmark(int in, int out);
+  void rebuild_views();
 
   int ports_;
   std::vector<std::uint32_t> residual_;
@@ -88,6 +108,11 @@ class DemandState {
   std::vector<std::uint8_t> blocked_;
   std::vector<std::uint8_t> input_blocked_;
   std::uint64_t total_ = 0;
+  // Derived views, not serialized: bit w of summary_[out] marks a
+  // non-zero word w of avail_[out] (blocking aside); demand_outputs_ holds
+  // the unblocked outputs whose summary is non-zero.
+  std::vector<std::uint64_t> summary_;
+  PortSet demand_outputs_;
 };
 
 /// One round-robin grant/accept iteration over a demand state — the
@@ -124,6 +149,8 @@ class IslipIteration {
   /// iSLIP pointer-update rule: pointers move only when
   /// `update_pointers` (callers pass true on a matching's first
   /// iteration), which is what desynchronizes the arbiters.
+  /// The grant phase visits only outputs with demand in both states and,
+  /// within each, only the words both summaries mark.
   void run(DemandState& primary, DemandState* shared, Matching& m,
            bool update_pointers);
 
@@ -142,11 +169,15 @@ class IslipIteration {
            ports_;
   }
 
+  /// Offers output `out`'s up to `cap` grants: the first candidates in
+  /// round-robin order from its grant pointer.
+  void grant(const DemandState& primary, const DemandState* shared,
+             const PortSet& input_free, int out, int cap);
+
   int ports_;
   std::vector<int> grant_ptr_;   // per output
   std::vector<int> accept_ptr_;  // per input
   // scratch, reused across calls
-  PortSet cands_;                    // one output's grantable inputs
   std::vector<int> best_offer_;      // per input: best output so far; -1
   std::vector<int> granted_inputs_;  // inputs in first-offer order
 };

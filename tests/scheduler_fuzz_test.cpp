@@ -19,6 +19,7 @@ struct FuzzParam {
   SchedulerKind kind;
   const char* name;
   int receivers;
+  int ports = 12;
 };
 
 // gtest puts GetParam() into the listed test names; without this it dumps
@@ -31,20 +32,24 @@ class SchedulerFuzzTest : public ::testing::TestWithParam<FuzzParam> {};
 
 TEST_P(SchedulerFuzzTest, SurvivesChaosAndConservesCells) {
   const auto param = GetParam();
-  constexpr int kPorts = 12;
+  const int ports = param.ports;
   SchedulerConfig cfg;
   cfg.kind = param.kind;
-  cfg.ports = kPorts;
+  cfg.ports = ports;
   cfg.receivers = param.receivers;
   cfg.seed = 0xF022;
   auto sched = make_scheduler(cfg);
 
   sim::Rng rng(0xFADE + static_cast<std::uint64_t>(param.kind) * 131 +
                static_cast<std::uint64_t>(param.receivers));
+  const auto port = [&] {
+    return static_cast<int>(
+        rng.uniform_int(static_cast<std::uint64_t>(ports)));
+  };
   std::map<std::pair<int, int>, long> owed;
   std::uint64_t requested = 0, granted = 0;
-  std::vector<std::uint8_t> out_blocked(kPorts, 0);
-  std::vector<std::uint8_t> in_blocked(kPorts, 0);
+  std::vector<std::uint8_t> out_blocked(static_cast<std::size_t>(ports), 0);
+  std::vector<std::uint8_t> in_blocked(static_cast<std::size_t>(ports), 0);
 
   auto check_grants = [&](const std::vector<Grant>& grants) {
     std::set<int> inputs;
@@ -64,9 +69,9 @@ TEST_P(SchedulerFuzzTest, SurvivesChaosAndConservesCells) {
   // Phase 1: chaos.
   for (int step = 0; step < 1'500; ++step) {
     // Requests.
-    for (int in = 0; in < kPorts; ++in) {
+    for (int in = 0; in < ports; ++in) {
       if (rng.bernoulli(0.5)) {
-        const int out = static_cast<int>(rng.uniform_int(kPorts));
+        const int out = port();
         sched->request(in, out);
         ++owed[{in, out}];
         ++requested;
@@ -74,21 +79,21 @@ TEST_P(SchedulerFuzzTest, SurvivesChaosAndConservesCells) {
     }
     // Random control-plane events.
     if (rng.bernoulli(0.10)) {
-      const int out = static_cast<int>(rng.uniform_int(kPorts));
+      const int out = port();
       if (out_blocked[static_cast<std::size_t>(out)] ^= 1)
         sched->block_output(out);
       else
         sched->unblock_output(out);
     }
     if (rng.bernoulli(0.06)) {
-      const int in = static_cast<int>(rng.uniform_int(kPorts));
+      const int in = port();
       if (in_blocked[static_cast<std::size_t>(in)] ^= 1)
         sched->block_input(in);
       else
         sched->unblock_input(in);
     }
     if (param.receivers > 1 && rng.bernoulli(0.05)) {
-      const int out = static_cast<int>(rng.uniform_int(kPorts));
+      const int out = port();
       sched->set_output_capacity(
           out, 1 + static_cast<int>(rng.uniform_int(
                        static_cast<std::uint64_t>(param.receivers))));
@@ -97,13 +102,13 @@ TEST_P(SchedulerFuzzTest, SurvivesChaosAndConservesCells) {
   }
 
   // Phase 2: restore everything and drain.
-  for (int p = 0; p < kPorts; ++p) {
+  for (int p = 0; p < ports; ++p) {
     sched->set_output_capacity(p, param.receivers);
     sched->unblock_output(p);
     sched->unblock_input(p);
   }
   int idle_ticks = 0;
-  for (int step = 0; step < 20'000 && idle_ticks < 3 * kPorts; ++step) {
+  for (int step = 0; step < 20'000 && idle_ticks < 3 * ports; ++step) {
     const auto grants = sched->tick();
     check_grants(grants);
     idle_ticks = grants.empty() ? idle_ticks + 1 : 0;
@@ -129,6 +134,20 @@ INSTANTIATE_TEST_SUITE_P(
                       FuzzParam{SchedulerKind::kFlppr, "flppr_dual", 2},
                       FuzzParam{SchedulerKind::kWfa, "wfa", 2},
                       FuzzParam{SchedulerKind::kTdm, "tdm", 1}),
+    [](const auto& info) { return std::string(info.param.name); });
+
+// 130 ports: three-word candidate sets and demand summaries, so the
+// word-at-a-time grant scans run under the same chaos.
+INSTANTIATE_TEST_SUITE_P(
+    MultiWord, SchedulerFuzzTest,
+    ::testing::Values(
+        FuzzParam{SchedulerKind::kIslip, "islip", 1, 130},
+        FuzzParam{SchedulerKind::kIslip, "islip_dual", 2, 130},
+        FuzzParam{SchedulerKind::kPim, "pim", 2, 130},
+        FuzzParam{SchedulerKind::kPipelinedIslip, "pipe", 1, 130},
+        FuzzParam{SchedulerKind::kPipelinedIslip, "pipe_dual", 2, 130},
+        FuzzParam{SchedulerKind::kFlppr, "flppr", 1, 130},
+        FuzzParam{SchedulerKind::kFlppr, "flppr_dual", 2, 130}),
     [](const auto& info) { return std::string(info.param.name); });
 
 }  // namespace
