@@ -69,12 +69,12 @@ void InvariantMonitor::end_slot(const SlotState& s) {
   const std::uint64_t offered = ledger_.sent();
   const std::uint64_t delivered = ledger_.delivered();
 
-  // Cell conservation: every offered cell is delivered, queued somewhere
-  // in the machine, or declared dropped by an active fault semantic.
-  if (offered != delivered + dropped_ + s.queued) {
+  // Cell conservation: every offered cell is delivered or queued
+  // somewhere in the machine.
+  if (offered != delivered + s.queued) {
     std::ostringstream os;
     os << "conservation: offered=" << offered << " != delivered="
-       << delivered << " + queued=" << s.queued << " + dropped=" << dropped_;
+       << delivered << " + queued=" << s.queued;
     violate(s.slot, os.str());
   }
 
@@ -139,11 +139,10 @@ void InvariantMonitor::finish(std::uint64_t slot,
   // be delivered (or stranded behind a declared permanent fault).
   const std::uint64_t offered = ledger_.sent();
   const std::uint64_t delivered = ledger_.delivered();
-  if (offered != delivered + dropped_ + residual_backlog) {
+  if (offered != delivered + residual_backlog) {
     std::ostringstream os;
     os << "conservation(final): offered=" << offered
-       << " != delivered=" << delivered << " + residual=" << residual_backlog
-       << " + dropped=" << dropped_;
+       << " != delivered=" << delivered << " + residual=" << residual_backlog;
     violate(slot, os.str());
   }
   if (residual_backlog != 0 && expect_drain_ && !allow_stranded_) {
@@ -178,7 +177,7 @@ void InvariantMonitor::to_report(telemetry::RunReport& r) const {
   r.invariants["violations"] = static_cast<double>(violations_);
   r.invariants["offered"] = static_cast<double>(rep.offered);
   r.invariants["delivered"] = static_cast<double>(rep.delivered);
-  r.invariants["dropped_declared"] = static_cast<double>(dropped_);
+  r.invariants["dropped_declared"] = 0;  // no fault drops a cell
   if (shed_ != 0) r.invariants["shed"] = static_cast<double>(shed_);
   r.invariants["duplicates"] = static_cast<double>(rep.duplicates);
   r.invariants["reordered"] = static_cast<double>(rep.reordered);

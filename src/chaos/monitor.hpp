@@ -7,9 +7,8 @@
 // verdict. Around it the monitor keeps continuously checked ledgers,
 // evaluated every slot inside the simulators:
 //
-//  * cell conservation — offered == delivered + in-flight/queued +
-//    dropped-by-declared-fault, checked at every slot boundary and once
-//    more at end of run;
+//  * cell conservation — offered == delivered + in-flight/queued,
+//    checked at every slot boundary and once more at end of run;
 //  * credit-balance accounting (fabric) — available credits + in-flight
 //    credit messages + downstream buffer occupancy + cells in flight
 //    toward flow-controlled buffers must equal the total credit pool
@@ -108,9 +107,6 @@ class InvariantMonitor {
     else
       deliver_with_defect(flow, seq);
   }
-  /// A cell lost to a *declared* fault semantic (none of the current
-  /// simulators drop cells; retained for future lossy fault kinds).
-  void dropped_by_fault(std::uint64_t n = 1) { dropped_ += n; }
   /// A cell refused at the source by degraded-mode admission control —
   /// before it gets a sequence number, so it never enters the offered
   /// ledger. Counted explicitly here (and cross-checked against the
@@ -192,7 +188,12 @@ class InvariantMonitor {
         throw ckpt::Error("invariant monitor totals disagree with its flow "
                           "ledger in checkpoint");
     }
-    ckpt::field(a, dropped_);
+    // The v1 layout keeps a count of cells dropped by declared faults
+    // here; no fault drops a cell, so the count is always zero.
+    std::uint64_t dropped = 0;
+    ckpt::field(a, dropped);
+    if (dropped != 0)
+      throw ckpt::Error("checkpoint holds cells dropped by a fault");
     ckpt::field(a, checks_);
     ckpt::field(a, violations_);
     ckpt::field(a, first_violation_slot_);
@@ -215,7 +216,6 @@ class InvariantMonitor {
   bool allow_stranded_ = false;
   bool expect_drain_ = false;
   sim::FlowLedger ledger_;
-  std::uint64_t dropped_ = 0;
   std::uint64_t shed_ = 0;
   std::uint64_t checks_ = 0;
   std::uint64_t violations_ = 0;
