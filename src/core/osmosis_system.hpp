@@ -50,10 +50,7 @@ class OsmosisSystem {
 
   // ---- optical datapath -----------------------------------------------------
 
-  /// Gate-count / power-budget audit of the Fig. 5 datapath.
-  phy::BroadcastSelectConfig crossbar_geometry() const {
-    return cfg_.crossbar();
-  }
+  /// Power-budget audit of the Fig. 5 datapath.
   phy::PowerBudgetReport optical_budget() const;
 
   // ---- fabric ----------------------------------------------------------------

@@ -56,8 +56,6 @@ class GilbertElliottChannel {
   /// state. Returns bits flipped.
   int transmit(Hamming272::CodeBlock& cw);
 
-  bool in_bad_state() const { return bad_; }
-
  private:
   Params p_;
   bool bad_ = false;

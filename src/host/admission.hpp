@@ -67,9 +67,6 @@ class AdmissionControl {
   bool admit_request(int src, int cells);
 
   std::uint64_t shed_total() const { return shed_total_; }
-  std::uint64_t shed_at(int src) const {
-    return shed_[static_cast<std::size_t>(src)];
-  }
   /// Fairness telemetry: widest per-source shed spread seen so far.
   std::uint64_t shed_max() const;
   std::uint64_t shed_min() const;

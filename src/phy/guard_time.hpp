@@ -56,11 +56,6 @@ struct CellFormat {
     return user_bytes() * 8.0 / (cell_bytes * 8.0);
   }
 
-  /// Effective user bandwidth in Gb/s.
-  double user_rate_gbps() const {
-    return user_efficiency() * line_rate_gbps;
-  }
-
   /// True when the guard fits in the cycle with a usable payload window.
   bool feasible() const { return user_bytes() > 0.0; }
 };

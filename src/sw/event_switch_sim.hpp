@@ -108,10 +108,6 @@ class EventSwitchSim {
   /// Call exactly once, after advance() returns false.
   EventSwitchResult finalize();
 
-  /// Number of advance() calls so far — the replay coordinate a
-  /// restored run must be driven to for lockstep comparison.
-  std::uint64_t advance_count() const { return advance_count_; }
-
   /// Snapshots every mutable field — including the pending typed event
   /// heap, so in-flight requests/grants/cells survive — into "event.*"
   /// chunks. The loader must be an EventSwitchSim built from the

@@ -141,7 +141,6 @@ class CellTrace {
   std::uint64_t cells_seen() const { return seen_; }
   std::uint64_t cells_sampled() const { return sampled_; }
   std::uint64_t cells_dropped() const { return dropped_; }
-  std::size_t open_spans() const { return open_.size() - free_.size(); }
 
   /// In-flight spans are persisted with their pool slots and free list
   /// intact, so trace handles stored inside queued cells stay valid
