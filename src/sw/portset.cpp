@@ -76,10 +76,4 @@ int PortSet::next_circular(int from) const {
   return -1;
 }
 
-PortSet& PortSet::operator&=(const PortSet& other) {
-  OSMOSIS_REQUIRE(ports_ == other.ports_, "size mismatch in PortSet AND");
-  for (std::size_t i = 0; i < words_.size(); ++i) words_[i] &= other.words_[i];
-  return *this;
-}
-
 }  // namespace osmosis::sw

@@ -106,21 +106,6 @@ TEST(PortSet, NextCircularExhaustiveAgainstReference) {
   }
 }
 
-TEST(PortSet, IntersectionInPlace) {
-  PortSet a(64), b(64);
-  a.set(1);
-  a.set(2);
-  a.set(3);
-  b.set(2);
-  b.set(3);
-  b.set(4);
-  a &= b;
-  EXPECT_FALSE(a.test(1));
-  EXPECT_TRUE(a.test(2));
-  EXPECT_TRUE(a.test(3));
-  EXPECT_FALSE(a.test(4));
-}
-
 TEST(PortSet, OutOfRangeDies) {
   PortSet s(8);
   EXPECT_DEATH(s.set(8), "out of range");
