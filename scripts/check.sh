@@ -301,7 +301,8 @@ cmake --build "$san_build" -j "$(nproc)" \
            switch_sim_test event_switch_test multiplane_test \
            scheduler_test scheduler_fuzz_test portset_test \
            flow_ledger_test rng_stats_test baseline_test fabric_test \
-           telemetry_test host_test bench_chaos chaos_repro schema_check
+           telemetry_test host_test topo_test bench_chaos chaos_repro \
+           schema_check
 
 # The single-stage engines keep their VOQs and request FIFOs in
 # index-linked FifoPool slabs and resequence through a flat park, so
@@ -319,14 +320,16 @@ cmake --build "$san_build" -j "$(nproc)" \
 # harder than the failure and checkpoint tests do, so they run here too.
 # The host tests post message workloads through ServeSim, whose
 # segmenters, op table and endpoint queues they drive at up to 64 ports,
-# so they run here as well.
+# so they run here as well. The connectivity audit indexes a per-switch
+# marker by each host's ingress switch, so the topology tests run here
+# too.
 echo "== sanitizer run: failure, fault, checkpoint, api & engine tests =="
 for t in failures_test faults_test arq_test fec_test ckpt_test \
          chaos_test topo_sim_test clos_test api_test voq_test \
          switch_sim_test event_switch_test multiplane_test \
          scheduler_test scheduler_fuzz_test portset_test \
          flow_ledger_test rng_stats_test baseline_test fabric_test \
-         telemetry_test host_test; do
+         telemetry_test host_test topo_test; do
   echo "-- $t"
   "$san_build/tests/$t" --gtest_brief=1
 done

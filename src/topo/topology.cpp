@@ -1,6 +1,7 @@
 #include "src/topo/topology.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <sstream>
 
 #include "src/util/log.hpp"
@@ -200,8 +201,14 @@ std::vector<std::string> Topology::audit(std::size_t max_findings) const {
   auto report = [&](const std::ostringstream& oss) {
     if (findings.size() < max_findings) findings.push_back(oss.str());
   };
+  // A path depends only on (switch, dst), so once one host's ingress
+  // switch reached every destination without a finding, no other host
+  // on that switch can produce one: skip them.
+  std::vector<std::uint8_t> clean(switches.size(), 0);
   for (int src = 0; src < hosts && findings.size() < max_findings; ++src) {
     const HostAttach at = inject[static_cast<std::size_t>(src)];
+    if (clean[static_cast<std::size_t>(at.sw)]) continue;
+    const std::size_t found = findings.size();
     for (int dst = 0; dst < hosts; ++dst) {
       int sw = at.sw;
       bool done = false;
@@ -247,6 +254,8 @@ std::vector<std::string> Topology::audit(std::size_t max_findings) const {
       }
       if (findings.size() >= max_findings) break;
     }
+    if (findings.size() == found)
+      clean[static_cast<std::size_t>(at.sw)] = 1;
   }
   return findings;
 }
