@@ -34,6 +34,7 @@
 
 #include "src/ckpt/archive.hpp"
 #include "src/sim/rng.hpp"
+#include "src/util/mapped_allocator.hpp"
 
 namespace osmosis::api {
 
@@ -132,9 +133,13 @@ class OpenLoopDriver {
   std::uint64_t place_salt_ = 0;  // client -> (src, dst) hash salt
   sim::Rng rng_;
   bool mmpp_burst_ = false;
-  // Flat per-client state; indexed by client id.
-  std::vector<std::uint32_t> issued_;
-  std::vector<std::uint32_t> completed_;
+  // Flat per-client state; indexed by client id. Each array is a few
+  // MB at a million clients and is freed with the driver, so it lives in
+  // its own mapping (util::MappedAllocator).
+  using ClientArray =
+      std::vector<std::uint32_t, util::MappedAllocator<std::uint32_t>>;
+  ClientArray issued_;
+  ClientArray completed_;
   std::int64_t active_clients_ = 0;
   std::uint32_t max_outstanding_ = 0;
 };

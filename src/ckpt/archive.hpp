@@ -143,8 +143,9 @@ inline std::uint64_t load_count(Source& a) {
 
 }  // namespace detail
 
-template <class Ar, class T>
-void io(Ar& a, std::vector<T>& v) {
+// Any allocator: the wire shape is the elements, not where they live.
+template <class Ar, class T, class A>
+void io(Ar& a, std::vector<T, A>& v) {
   if constexpr (Ar::kLoading) {
     const std::uint64_t n = detail::load_count(a);
     v.clear();

@@ -19,6 +19,7 @@
 #include "src/api/serve_sim.hpp"
 #include "src/ckpt/ckpt.hpp"
 #include "src/exec/campaign_runner.hpp"
+#include "src/sim/rng.hpp"
 
 namespace osmosis::api {
 namespace {
@@ -336,6 +337,61 @@ TEST(OpenLoopDriver, ArrivalProcessesHitTheConfiguredMeanRate) {
         static_cast<double>(total) / static_cast<double>(slots);
     EXPECT_NEAR(empirical, drv.mean_rate(), 0.15 * drv.mean_rate())
         << "arrival kind " << to_string(kind);
+  }
+}
+
+TEST(OpenLoopDriver, SnapshotHoldsThePerClientArraysAsPlainVectors) {
+  // The per-client arrays live in their own mappings, yet the snapshot
+  // holds each as a u64 count and its u32s, exactly as ckpt::field
+  // writes a std::vector<std::uint32_t>.
+  OpenLoopConfig cfg;
+  cfg.clients = 1'000;
+  OpenLoopDriver drv(cfg, /*ports=*/8, /*cells_per_request=*/3, 0xA11CE);
+  std::vector<Request> batch;
+  std::vector<std::int64_t> issued_by;
+  for (std::uint64_t s = 0; s < 64; ++s) {
+    drv.poll(s, batch);
+    for (const Request& r : batch) {
+      drv.note_issue(r.client);
+      issued_by.push_back(r.client);
+    }
+  }
+  ASSERT_GT(issued_by.size(), 2u);
+  for (std::size_t i = 0; i < issued_by.size(); i += 2)
+    drv.note_complete(issued_by[i]);
+  ckpt::Sink got;
+  drv.io_state(got);
+
+  std::vector<std::uint32_t> issued, completed;
+  for (std::int64_t c = 0; c < cfg.clients; ++c) {
+    issued.push_back(static_cast<std::uint32_t>(drv.issued(c)));
+    completed.push_back(static_cast<std::uint32_t>(drv.completed(c)));
+  }
+  // The generator state and modulator flag come first; take them from
+  // the snapshot itself.
+  ckpt::Source head(got.bytes());
+  sim::Rng rng;
+  bool burst = false;
+  ckpt::field(head, rng);
+  ckpt::field(head, burst);
+  std::int64_t active = drv.active_clients();
+  std::uint32_t widest = drv.max_outstanding();
+  ckpt::Sink want;
+  ckpt::field(want, rng);
+  ckpt::field(want, burst);
+  ckpt::field(want, issued);
+  ckpt::field(want, completed);
+  ckpt::field(want, active);
+  ckpt::field(want, widest);
+  EXPECT_EQ(got.bytes(), want.bytes());
+
+  OpenLoopDriver back(cfg, 8, 3, 0);
+  ckpt::Source src(got.bytes());
+  back.io_state(src);
+  src.expect_end();
+  for (std::int64_t c = 0; c < cfg.clients; ++c) {
+    EXPECT_EQ(back.issued(c), drv.issued(c));
+    EXPECT_EQ(back.completed(c), drv.completed(c));
   }
 }
 
