@@ -862,6 +862,44 @@ TEST(CkptResume, TopoSimRejectsCableEntriesOffTheirRing) {
   EXPECT_THROW(load_with(cell, true), ckpt::Error);
 }
 
+TEST(CkptResume, TopoSimLedgerCountsEveryLoadedRingEntry) {
+  // A credit-FC snapshot with one credit too many on a host's credit
+  // ring, filed in a free bucket inside the ring's window so loading
+  // accepts it. The credit ledger reads the ring, so the first slot
+  // after the load must report one credit more than the pool holds.
+  topo::TopoSimConfig cfg;
+  cfg.hosts = 32;
+  cfg.warmup_slots = 200;
+  cfg.measure_slots = 2'000;
+  topo::TopoSim sim(cfg, sim::make_uniform(cfg.hosts, 0.5, 0x5EED));
+  for (int i = 0; i < 550; ++i) ASSERT_TRUE(sim.advance_slot());
+  ASSERT_EQ(sim.monitor().violations(), 0u);
+  const auto r = ckpt::Reader::from_bytes(snapshot_bytes(sim));
+  TopoCoreWire core(r);
+  // A host credit crosses a one-slot cable, so every one in flight is
+  // due at the next slot and now + 2 is free on every host.
+  const std::uint64_t extra = core.now + 2;
+  for (const auto& q : core.host_credit_in)
+    for (const std::uint64_t at : q) ASSERT_EQ(at, core.now);
+  core.host_credit_in[3].push_back(extra);
+
+  ckpt::Writer w;
+  w.add_chunk("topo.core", core.bytes());
+  for (const char* name : {"topo.switches", "topo.traffic", "topo.stats"}) {
+    ckpt::Source src = r.chunk(name);
+    std::string payload(src.remaining(), '\0');
+    src.raw(payload.data(), payload.size());
+    w.add_chunk(name, payload);
+  }
+  topo::TopoSim fresh(cfg, sim::make_uniform(cfg.hosts, 0.5, 0x5EED));
+  fresh.load_state(ckpt::Reader::from_bytes(w.serialize()));
+  ASSERT_TRUE(fresh.advance_slot());
+  // 12 switches of 8 inputs, 16 cells of buffer each.
+  EXPECT_EQ(fresh.monitor().violations(), 1u);
+  EXPECT_EQ(fresh.monitor().first_violation(),
+            "slot=550 credit: ledger=1537 != pool=1536");
+}
+
 TEST(CkptResume, TamperedSnapshotNeverLoadsPartially) {
   const auto cfg = small_switch_cfg(false);
   sw::SwitchSim a(cfg, sim::make_uniform(cfg.ports, 0.6, 99));

@@ -8,6 +8,7 @@
 #include <memory>
 #include <string>
 
+#include "src/faults/fault_plan.hpp"
 #include "src/sim/traffic.hpp"
 #include "src/sw/event_switch_sim.hpp"
 #include "src/sw/switch_sim.hpp"
@@ -359,6 +360,44 @@ TEST(RunReport, FabricRollupSubtotalsMatchPerSwitchCounters) {
   EXPECT_TRUE(ctr.has("fc.blocked_output_cycles"));
   // One time-series row per 64 slots of the 2,200-slot run.
   EXPECT_EQ(sim.telemetry().series().size(), 35u);
+}
+
+TEST(RunReport, FabricFlowControlCountersArePinned) {
+  // The 128-host leaf-spine tree near saturation with spine 1 frozen
+  // for 400 slots, then drained: leaf uplinks toward the frozen spine
+  // and toward credit-starved buffers block, and hosts hold their head
+  // cells. The values were computed with a flow-control pass that
+  // blocked or unblocked every out port of every switch every slot.
+  struct Pin {
+    topo::FcKind fc;
+    double blocked_output_cycles;
+    double host_hold_cycles;
+  };
+  const Pin pins[] = {{topo::FcKind::kCredit, 12'715.0, 60'393.0},
+                      {topo::FcKind::kRelayed, 9'997.0, 56'810.0}};
+  for (const Pin& p : pins) {
+    topo::TopoSimConfig cfg = topo::leaf_spine_config(16);
+    cfg.fc.kind = p.fc;
+    cfg.warmup_slots = 200;
+    cfg.measure_slots = 3'000;
+    cfg.drain_max_slots = 50'000;
+    cfg.telemetry.enabled = true;
+    faults::FaultEvent spine;
+    spine.kind = faults::FaultKind::kPlaneFailure;
+    spine.a = 1;
+    spine.at_slot = 500;
+    spine.duration_slots = 400;
+    cfg.fault_plan.add(spine);
+    cfg.fault_plan.seeded(1);
+    topo::TopoSim sim(cfg, sim::make_uniform(cfg.hosts, 0.85, 99));
+    sim.run();
+
+    const auto& ctr = sim.telemetry().counters();
+    const std::string what = topo::to_string(p.fc);
+    EXPECT_EQ(ctr.value("fc.blocked_output_cycles"), p.blocked_output_cycles)
+        << what;
+    EXPECT_EQ(ctr.value("fc.host_hold_cycles"), p.host_hold_cycles) << what;
+  }
 }
 
 // ---- JSON parser edge cases -------------------------------------------------

@@ -285,6 +285,54 @@ TEST(TopoSim, CheckpointResumeWithWormsInFlightIsByteIdentical) {
   EXPECT_EQ(ra.drained_slots, rb.drained_slots);
 }
 
+TEST(TopoSim, CheckpointResumeWhileAFreezeHoldsWormsIsByteIdentical) {
+  // The freeze row of WormholeArbitrationIsPinned: top switch 1 of the
+  // 32-host fat tree is frozen over slots 300-699, so worms headed
+  // through it wait in the leaves' lanes. Snapshot mid-freeze, restore
+  // into a fresh sim, and require the same results and final state.
+  TopoSimConfig cfg = base_config(TopoKind::kFatTree, FcKind::kWormholeVc);
+  cfg.fc.lanes = 2;
+  cfg.measure_slots = 1'000;
+  faults::FaultEvent spine;
+  spine.kind = faults::FaultKind::kPlaneFailure;
+  spine.a = 1;
+  spine.at_slot = 300;
+  spine.duration_slots = 400;
+  cfg.fault_plan.add(spine);
+  cfg.fault_plan.seeded(1);
+  const double packet_p = 0.35 / cfg.fc.flits_per_packet;
+  TopoSim a(cfg, sim::make_uniform(cfg.hosts, packet_p, 0x91A));
+  for (int i = 0; i < 500; ++i) ASSERT_TRUE(a.advance_slot());
+  ASSERT_GT(a.monitor().offered_cells(), a.monitor().delivered_cells());
+
+  ckpt::Writer snap;
+  a.save_state(snap);
+  TopoSim b(cfg, sim::make_uniform(cfg.hosts, packet_p, 0x91A));
+  b.load_state(ckpt::Reader::from_bytes(snap.serialize()));
+
+  while (a.advance_slot()) {
+  }
+  while (b.advance_slot()) {
+  }
+  ckpt::Writer fa, fb;
+  a.save_state(fa);
+  b.save_state(fb);
+  EXPECT_EQ(fa.serialize(), fb.serialize());
+
+  const TopoSimResult ra = a.finalize();
+  const TopoSimResult rb = b.finalize();
+  expect_clean(ra, "original");
+  expect_clean(rb, "resumed");
+  // The pinned row's values, reached from the snapshot too.
+  EXPECT_EQ(ra.delivered, 1486u);
+  EXPECT_EQ(rb.delivered, ra.delivered);
+  EXPECT_EQ(rb.mean_delay_slots, ra.mean_delay_slots);
+  EXPECT_EQ(rb.p99_delay_slots, ra.p99_delay_slots);
+  EXPECT_EQ(rb.throughput, ra.throughput);
+  EXPECT_EQ(rb.faults_repaired, 1u);
+  EXPECT_EQ(rb.drained_slots, ra.drained_slots);
+}
+
 TEST(TopoSim, CableRingsOfAnyFlightTimeAreLosslessAndResumable) {
   // The cable and credit rings take (longest flight + 1) buckets: 2 for
   // a one-slot trunk, 8 for a seven-slot one. Every flow-control kind
