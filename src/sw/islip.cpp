@@ -293,13 +293,16 @@ int Scheduler::output_capacity(int out) const {
 }
 
 void Scheduler::number_receivers() {
-  std::fill(receiver_used_.begin(), receiver_used_.end(), 0);
   for (auto& g : grants_) {
     g.receiver = receiver_used_[static_cast<std::size_t>(g.output)]++;
     OSMOSIS_REQUIRE(g.receiver < receivers_,
                     "output " << g.output << " over-matched: receiver "
                               << g.receiver << " of " << receivers_);
   }
+  // Leave the counters zeroed for the next tick: only granted outputs
+  // were touched.
+  for (const auto& g : grants_)
+    receiver_used_[static_cast<std::size_t>(g.output)] = 0;
 }
 
 void Scheduler::save_state(ckpt::Sink& s) const {
@@ -333,8 +336,13 @@ std::string IslipScheduler::name() const {
 
 const std::vector<Grant>& IslipScheduler::tick() {
   matching_.reset(ports(), output_capacity_);
-  for (int it = 0; it < iterations_; ++it)
+  // A round that adds no match changes no demand, capacity, free input or
+  // pointer, so every later round would add none either: stop there.
+  for (int it = 0; it < iterations_; ++it) {
+    const std::size_t matched = matching_.matches.size();
     engine_.run(demand_, nullptr, matching_, /*update_pointers=*/it == 0);
+    if (matching_.matches.size() == matched) break;
+  }
   grants_.swap(matching_.matches);
   number_receivers();
   return grants_;
