@@ -1,6 +1,7 @@
 #include "src/topo/topology.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <sstream>
 
@@ -175,8 +176,9 @@ int Topology::route_port(int sw, int dst) const {
   if (!node.route.empty()) return node.route[static_cast<std::size_t>(dst)];
 
   // Unidirectional MINs answer in closed form: a per-switch table would
-  // be hosts * switches entries — hundreds of MB at 2048 ports.
-  const int k = static_cast<int>(params.at("log2_hosts"));
+  // be hosts * switches entries — hundreds of MB at 2048 ports. Their
+  // host count is a power of two (derive_shape), so k = log2(hosts).
+  const int k = std::countr_zero(static_cast<unsigned>(hosts));
   const int c = node.stage - 1;  // 0-based column
   switch (kind) {
     case TopoKind::kOmega:
