@@ -208,6 +208,7 @@ class Scheduler {
   void unblock_output(int out) {
     if (output_capacity(out) > 0) demand_.unblock_output(out);
   }
+  bool output_blocked(int out) const { return demand_.blocked(out); }
 
   /// Failure-handling hooks: mask a dark input entirely, or reduce an
   /// output's usable receiver count (a failed optical switching module

@@ -1,6 +1,7 @@
 #include "src/topo/topo_sim.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <climits>
 #include <sstream>
 
@@ -115,8 +116,13 @@ TopoSim::TopoSim(TopoSimConfig cfg, std::unique_ptr<sim::TrafficGen> traffic)
     max_out = std::max(max_out, out_p);
     Node n;
     n.out_ports = out_p;
+    for (int p = 0; p < out_p; ++p)
+      if (spec.out_peer[static_cast<std::size_t>(p)].kind ==
+          PeerKind::kSwitch)
+        n.trunk_out.push_back(p);
     if (wormhole()) {
       n.lane_buf = sw::FifoPool<Flit>(static_cast<std::size_t>(in_p * lanes));
+      n.lane_busy = sw::PortSet(in_p * lanes);
       n.lane_out.assign(static_cast<std::size_t>(in_p * lanes), -1);
       n.lane_credits.assign(static_cast<std::size_t>(out_p * lanes),
                             cfg_.fc.lane_flits);
@@ -147,9 +153,11 @@ TopoSim::TopoSim(TopoSimConfig cfg, std::unique_ptr<sim::TrafficGen> traffic)
     n.out_data = Ring<Timed>(static_cast<std::size_t>(out_p), window);
     nodes_.push_back(std::move(n));
   }
-  if (wormhole())
+  if (wormhole()) {
     lane_want_.assign(static_cast<std::size_t>(max_out),
                       sw::PortSet(max_in_lanes));
+    wanted_out_ = sw::PortSet(max_out);
+  }
   pool_total_ =
       wormhole()
           ? fc_inputs * static_cast<std::uint64_t>(lanes) *
@@ -358,6 +366,7 @@ void TopoSim::accept_flit(int sw, int in_port, Flit f, std::uint64_t t) {
     const std::size_t idx = static_cast<std::size_t>(
         in_port * cfg_.fc.lanes + lane_of(f.dst));
     node.lane_buf.push_back(idx, f);
+    node.lane_busy.set(static_cast<int>(idx));
     const int occ = static_cast<int>(node.lane_buf.size(idx));
     node.max_occ = std::max(node.max_occ, occ);
     cur_slot_max_occ_ = std::max(cur_slot_max_occ_, occ);
@@ -437,19 +446,20 @@ void TopoSim::deliver_or_park(const Flit& f, std::uint64_t t,
 void TopoSim::transfer_cells(Node& node, int sw, std::uint64_t t,
                              bool measuring) {
   const SwitchSpec& spec = topo_.switches[static_cast<std::size_t>(sw)];
-  const int out_p = spec.out_ports();
-  for (int p = 0; p < out_p; ++p) {
-    const Peer& peer = spec.out_peer[static_cast<std::size_t>(p)];
-    const bool fc = peer.kind == PeerKind::kSwitch;
-    const bool frozen =
-        fc && down_[static_cast<std::size_t>(peer.id)] != 0;
-    if (frozen ||
-        (fc && node.out_credits[static_cast<std::size_t>(p)] == 0)) {
+  // Flow control: an output toward a frozen switch or with no credit left
+  // is blocked. Only outputs toward a switch are ever blocked, and the
+  // scheduler is told only of a change.
+  for (const int p : node.trunk_out) {
+    const bool blocked =
+        down_[static_cast<std::size_t>(
+            spec.out_peer[static_cast<std::size_t>(p)].id)] != 0 ||
+        node.out_credits[static_cast<std::size_t>(p)] == 0;
+    if (blocked) ++fc_blocked_output_cycles_;
+    if (blocked == node.sched->output_blocked(p)) continue;
+    if (blocked)
       node.sched->block_output(p);
-      ++fc_blocked_output_cycles_;
-    } else {
+    else
       node.sched->unblock_output(p);
-    }
   }
   const std::vector<sw::Grant>& grants = node.sched->tick();
   grants_per_switch_[static_cast<std::size_t>(sw)] += grants.size();
@@ -488,10 +498,10 @@ void TopoSim::transfer_cells(Node& node, int sw, std::uint64_t t,
 
 void TopoSim::transfer_flits(Node& node, int sw, std::uint64_t t,
                              bool measuring) {
+  if (node.lane_buf.total() == 0) return;  // no flit to send
   const SwitchSpec& spec = topo_.switches[static_cast<std::size_t>(sw)];
   const int lanes = cfg_.fc.lanes;
   const int in_p = spec.in_ports();
-  const int out_p = spec.out_ports();
   const int in_lanes = in_p * lanes;
   used_input_.assign(static_cast<std::size_t>(in_p), 0);
 
@@ -499,31 +509,38 @@ void TopoSim::transfer_flits(Node& node, int sw, std::uint64_t t,
   // wants: the bound output mid-worm, the routed one for a head flit.
   // Only a lane that sends changes state this slot, and its input is then
   // used for the rest of the slot, so the filing never goes stale.
-  for (int p = 0; p < out_p; ++p)
-    lane_want_[static_cast<std::size_t>(p)].clear_all();
-  for (int idx = 0; idx < in_lanes; ++idx) {
-    const std::size_t q = static_cast<std::size_t>(idx);
-    if (node.lane_buf.empty(q)) continue;
-    int want = node.lane_out[q];
-    if (want == -1) {
-      const Flit& head = node.lane_buf.front(q);
-      OSMOSIS_REQUIRE(head.head != 0,
-                      "wormhole body flit without an open route");
-      want = topo_.route_port(sw, head.dst);
+  for (int w = 0; w < node.lane_busy.word_count(); ++w) {
+    for (std::uint64_t bits = node.lane_busy.word(w); bits != 0;
+         bits &= bits - 1) {
+      const int idx = w * 64 + std::countr_zero(bits);
+      const std::size_t q = static_cast<std::size_t>(idx);
+      int want = node.lane_out[q];
+      if (want == -1) {
+        const Flit& head = node.lane_buf.front(q);
+        OSMOSIS_REQUIRE(head.head != 0,
+                        "wormhole body flit without an open route");
+        want = topo_.route_port(sw, head.dst);
+      }
+      if (want < 0) continue;
+      lane_want_[static_cast<std::size_t>(want)].set(idx);
+      wanted_out_.set(want);
     }
-    if (want >= 0) lane_want_[static_cast<std::size_t>(want)].set(idx);
   }
 
-  for (int p = 0; p < out_p; ++p) {
+  // The wanted outputs, ascending: a visited output leaves the set, so
+  // the walk ends after one lap, and its filing is emptied.
+  for (int p = wanted_out_.next_circular(0); p >= 0;
+       p = wanted_out_.next_circular(p)) {
+    wanted_out_.clear(p);
     const Peer& peer = spec.out_peer[static_cast<std::size_t>(p)];
-    if (peer.kind == PeerKind::kSwitch &&
-        down_[static_cast<std::size_t>(peer.id)] != 0)
-      continue;  // frozen downstream: hold the worm, credits keep it safe
+    // A frozen downstream holds the worm; credits keep it safe.
+    const bool frozen = peer.kind == PeerKind::kSwitch &&
+                        down_[static_cast<std::size_t>(peer.id)] != 0;
     // Round-robin from the cursor over the lanes that want p; a visited
     // lane leaves the mask, so the walk ends after one lap.
     sw::PortSet& want = lane_want_[static_cast<std::size_t>(p)];
     int& rr = node.out_rr[static_cast<std::size_t>(p)];
-    for (int idx = want.next_circular(rr); idx >= 0;
+    for (int idx = frozen ? -1 : want.next_circular(rr); idx >= 0;
          idx = want.next_circular(idx)) {
       want.clear(idx);
       const int in = idx / lanes;
@@ -557,9 +574,11 @@ void TopoSim::transfer_flits(Node& node, int sw, std::uint64_t t,
       const std::uint64_t due = t + static_cast<std::uint64_t>(peer.delay);
       node.out_data.put(static_cast<std::size_t>(p), t, due,
                         Timed{due, node.lane_buf.pop_front(q)});
+      if (node.lane_buf.empty(q)) node.lane_busy.clear(idx);
       rr = (idx + 1) % in_lanes;
       break;  // one flit per output link per slot
     }
+    want.clear_all();
   }
 }
 
@@ -724,54 +743,42 @@ void TopoSim::check_invariants(std::uint64_t t) {
   // Every generated cell was offered into the fabric or shed.
   monitor_.check_generated(t, injected_total_ + shed_);
 
+  // The ledger: every credit counter and input buffer, plus the ring
+  // entry counts (credits and cells in flight) and queued flits.
   std::uint64_t ledger = 0;
   long long min_pool = LLONG_MAX;
+  const auto add_credit = [&](int c) {
+    ledger += static_cast<std::uint64_t>(c);
+    min_pool = std::min(min_pool, static_cast<long long>(c));
+  };
   if (wormhole()) {
-    for (std::size_t i = 0; i < host_lane_credits_.size(); ++i) {
-      ledger += static_cast<std::uint64_t>(host_lane_credits_[i]);
-      min_pool = std::min(
-          min_pool, static_cast<long long>(host_lane_credits_[i]));
-    }
+    for (const int c : host_lane_credits_) add_credit(c);
     ledger += host_lane_credit_in_.occupied();
   } else {
-    for (std::size_t i = 0; i < host_credits_.size(); ++i) {
-      ledger += static_cast<std::uint64_t>(host_credits_[i]);
-      min_pool =
-          std::min(min_pool, static_cast<long long>(host_credits_[i]));
-    }
+    for (const int c : host_credits_) add_credit(c);
     ledger += host_credit_in_.occupied();
   }
   ledger += host_out_.occupied();
   const int lanes = cfg_.fc.lanes;
-  for (std::size_t s = 0; s < nodes_.size(); ++s) {
-    const Node& node = nodes_[s];
-    const SwitchSpec& spec = topo_.switches[s];
+  for (const Node& node : nodes_) {
     if (wormhole()) {
-      for (std::size_t q = 0; q < node.lane_buf.queues(); ++q)
-        ledger += node.lane_buf.size(q);
+      ledger += node.lane_buf.total();
     } else {
       for (const int occ : node.input_occupancy)
         ledger += static_cast<std::uint64_t>(occ);
     }
-    for (int p = 0; p < spec.out_ports(); ++p) {
-      if (spec.out_peer[static_cast<std::size_t>(p)].kind !=
-          PeerKind::kSwitch)
-        continue;
+    for (const int p : node.trunk_out) {
+      const std::size_t port = static_cast<std::size_t>(p);
       if (wormhole()) {
-        for (int l = 0; l < lanes; ++l) {
-          const int c =
-              node.lane_credits[static_cast<std::size_t>(p * lanes + l)];
-          ledger += static_cast<std::uint64_t>(c);
-          min_pool = std::min(min_pool, static_cast<long long>(c));
-        }
-        ledger += node.lane_credit_in.occupied(static_cast<std::size_t>(p));
+        for (int l = 0; l < lanes; ++l)
+          add_credit(
+              node.lane_credits[static_cast<std::size_t>(p * lanes + l)]);
+        ledger += node.lane_credit_in.occupied(port);
       } else {
-        const int c = node.out_credits[static_cast<std::size_t>(p)];
-        ledger += static_cast<std::uint64_t>(c);
-        min_pool = std::min(min_pool, static_cast<long long>(c));
-        ledger += node.credit_in.occupied(static_cast<std::size_t>(p));
+        add_credit(node.out_credits[port]);
+        ledger += node.credit_in.occupied(port);
       }
-      ledger += node.out_data.occupied(static_cast<std::size_t>(p));
+      ledger += node.out_data.occupied(port);
     }
   }
   monitor_.check_credits(t, ledger, pool_total_,
@@ -1070,6 +1077,11 @@ void TopoSim::io_node(Ar& a, Node& node) {
   ckpt::field(a, node.out_credits);
   io_credit_ring(a, node.credit_in);
   node.lane_buf.io_state(a);
+  if constexpr (Ar::kLoading) {
+    node.lane_busy.clear_all();
+    for (std::size_t q = 0; q < node.lane_buf.queues(); ++q)
+      if (!node.lane_buf.empty(q)) node.lane_busy.set(static_cast<int>(q));
+  }
   ckpt::field(a, node.lane_out);
   ckpt::field(a, node.lane_credits);
   ckpt::field(a, node.lane_owner);
