@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# One-shot verification: configure, build, run the test suite, run the
-# telemetry tour example and check that its RunReport JSON carries every
-# key the osmosis.run_report.v1 schema promises, run the smoke campaign
-# and hold it against the committed perf baseline with campaign_compare,
+# One-shot verification: configure (warnings are errors), build, run the
+# test suite, run the telemetry tour example and check that its RunReport
+# JSON carries every key the osmosis.run_report.v1 schema promises, run
+# the smoke campaign and hold it against the committed perf baseline with
+# campaign_compare,
 # SIGKILL a checkpointing smoke campaign mid-flight and prove the
 # resumed document is byte-identical to the uninterrupted run (plus a
 # ckpt_verify divergence replay of any surviving state file), run the
@@ -79,7 +80,8 @@ replay_state_files() {
 }
 
 echo "== configure =="
-cmake -B "$build" -S "$repo"
+# The tree builds without a warning under -Wall -Wextra; a new one fails.
+cmake -B "$build" -S "$repo" -DOSMOSIS_WERROR=ON
 
 echo "== build =="
 cmake --build "$build" -j "$(nproc)"
